@@ -1,8 +1,8 @@
 """Construction regression gate: filter-first / array-at-a-time builds.
 
 Build gate: constructs the headline kd-tree workloads (100k uniform
-points in 2D and 7D) and a BDL-tree of the same size under both
-construction engines.  The batched (level-at-a-time) engine must
+points in 2D and 7D) and a BDL-tree of the same size with both
+builders.  The batched (level-at-a-time) builder must
 produce **bitwise-identical** node arrays and **identical** work/depth
 charges — that contract is asserted unconditionally, at every scale —
 and at full scale (``REPRO_BENCH_SCALE >= 1``) must be at least 3x
@@ -11,7 +11,7 @@ faster than the per-node recursion, which is the point of having it.
 Hull gate: runs 2D quickhull on 200k uniform (interior-heavy) points
 with and without the Akl–Toussaint prefilter.  The filtered hull must
 be a **bitwise-identical index sequence** unconditionally; unlike the
-build engines the filter genuinely removes work (that is its job), so
+builders the filter genuinely removes work (that is its job), so
 instead of charge equality the gate requires the charged work to go
 *down* and the wall-clock to improve by at least 2x at full scale.
 
@@ -23,11 +23,15 @@ import os
 import time
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 
+import repro.kdtree.tree as kd_tree
 from repro.bdl import BDLTree
 from repro.bench import bench_scale
 from repro.hull import quickhull2d_seq
+from repro.hull.hull2d import _quickhull2d
 from repro.kdtree import KDTree
 from repro.parlay import tracker
 
@@ -65,17 +69,17 @@ def _timed(fn):
 def _assert_same_tree(tr, tb, label):
     for f in _TREE_FIELDS:
         assert np.array_equal(getattr(tr, f), getattr(tb, f)), (
-            f"{label}: engines disagree on node field {f!r}"
+            f"{label}: builders disagree on node field {f!r}"
         )
 
 
 def _build_gate(benchmark, ds_name: str):
     pts = data(f"{ds_name}-{BUILD_N}")
-    tr, t_rec, c_rec = _timed(lambda: KDTree(pts, engine="recursive"))
-    tb, t_bat, c_bat = _timed(lambda: KDTree(pts, engine="batched"))
+    tr, t_rec, c_rec = _timed(lambda: kd_tree._recursive_tree(pts))
+    tb, t_bat, c_bat = _timed(lambda: KDTree(pts))
 
     # exactness and charge identity are unconditional: the batched
-    # engine is a wall-clock optimization only
+    # builder is a wall-clock optimization only
     _assert_same_tree(tr, tb, ds_name)
     assert c_rec.work == c_bat.work, (
         f"{ds_name}: work diverged {c_rec.work} != {c_bat.work}"
@@ -109,16 +113,21 @@ def test_kdtree_build_7d_ratio(benchmark):
 
 
 def test_bdl_build_ratio(benchmark):
-    """The log-structure's unit-conversion rebuilds ride the engine."""
+    """The log-structure's unit-conversion rebuilds ride the builder."""
     pts = data(f"2D-U-{BUILD_N}")
 
-    def build(engine):
-        b = BDLTree(pts.shape[1], build_engine=engine)
+    def build():
+        b = BDLTree(pts.shape[1])
         b.insert(pts)
         return b
 
-    br, t_rec, c_rec = _timed(lambda: build("recursive"))
-    bb, t_bat, c_bat = _timed(lambda: build("batched"))
+    def build_recursive():
+        # route every static-tree build through the per-node recursion
+        with mock.patch.object(kd_tree, "build_batched", KDTree._build):
+            return build()
+
+    br, t_rec, c_rec = _timed(build_recursive)
+    bb, t_bat, c_bat = _timed(build)
 
     assert br.bitmask == bb.bitmask
     for ta, tbt in zip(br.trees, bb.trees):
@@ -147,8 +156,8 @@ def test_bdl_build_ratio(benchmark):
 def test_hull_filter_ratio(benchmark):
     """Akl–Toussaint filter-first quickhull on interior-heavy input."""
     pts = data(f"2D-U-{HULL_N}")
-    hu, t_unf, c_unf = _timed(lambda: quickhull2d_seq(pts, prefilter=False))
-    hf, t_fil, c_fil = _timed(lambda: quickhull2d_seq(pts, prefilter=True))
+    hu, t_unf, c_unf = _timed(lambda: _quickhull2d(pts, parallel=False))
+    hf, t_fil, c_fil = _timed(lambda: quickhull2d_seq(pts))
 
     # the filter must be invisible in the answer, at every scale
     assert np.array_equal(hu, hf), "filtered hull diverged from unfiltered"
@@ -181,7 +190,7 @@ def teardown_module(module):
     root = Path(__file__).resolve().parent.parent
     out = root / "BENCH_build.json"
     payload = {
-        "benchmark": "construction engines: batched vs recursive build, "
+        "benchmark": "construction: batched vs recursive build, "
                      "Akl-Toussaint filter-first hull",
         "scale": float(os.environ.get("REPRO_BENCH_SCALE", "1.0")),
         "gates": {

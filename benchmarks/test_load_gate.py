@@ -50,7 +50,9 @@ FULL_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) >= 1.0
 LOAD_N = bench_scale(20_000)           # points per tenant index
 LIGHT_RATE = 200.0                     # req/s, well under capacity
 LIGHT_N = bench_scale(1200)            # light requests per phase
-HEAVY_RATE = 500.0                     # req/s, past the exact-path capacity
+# req/s, past the exact-path capacity: one-query kNN calls take the
+# per-query walk, so a 2-shard index serves roughly 500 req/s here
+HEAVY_RATE = 1000.0
 # heavy arrivals span the light tenant's whole window, so saturation is
 # sustained rather than a front-loaded burst
 HEAVY_N = int(HEAVY_RATE * (bench_scale(1200) / LIGHT_RATE))

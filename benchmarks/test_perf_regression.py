@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.bench import bench_scale, measure_engines
 from repro.kdtree import KDTree, knn
+from repro.kdtree.knn import _knn_frontier, _knn_walk
 from repro.serve import GeometryService, replay, run_unbatched, synthetic_trace
 
 from conftest import data, run_once
@@ -86,11 +87,19 @@ _cluster_records: dict[str, dict] = {}
 _procs_records: dict[str, dict] = {}
 
 
+def _frontier(tree, qs, k, exclude_self=False):
+    return _knn_frontier([tree], qs, k, exclude_self)
+
+
+def _walk(tree, qs, k, exclude_self=False):
+    return _knn_walk([tree], qs, k, exclude_self)
+
+
 def _bench(benchmark, ds_name: str):
     pts = data(f"{ds_name}-{N}")
     tree = KDTree(pts)
     cmp = measure_engines(
-        f"knn {ds_name} n={N} k={K}", knn, tree, pts, K,
+        f"knn {ds_name} n={N} k={K}", _frontier, _walk, tree, pts, K,
         exclude_self=True, meta={"n": N, "dims": pts.shape[1], "k": K},
     )
     db, ib = cmp.batched.result
@@ -213,7 +222,7 @@ def test_obs_tracing_overhead(benchmark, tmp_path):
     repeats = 3
 
     def run():
-        return knn(tree, pts, K, exclude_self=True, engine="batched")
+        return knn(tree, pts, K, exclude_self=True)
 
     # untraced wall-clock (the tracer hook is a global load + None check)
     t_off = float("inf")

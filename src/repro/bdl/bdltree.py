@@ -24,7 +24,8 @@ import numpy as np
 
 from ..core.bbox import TouchedRegion, _touched
 from ..core.points import as_array
-from ..kdtree.knnbuffer import KNNBuffer
+from ..kdtree.knn import knn_across
+from ..kdtree.range_search import range_query_ball_batch, range_query_batch
 from ..kdtree.tree import KDTree, OBJECT_MEDIAN
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge
@@ -45,10 +46,6 @@ class BDLTree:
         Split rule for the underlying static trees ('object'/'spatial').
     leaf_size:
         Leaf capacity of the static trees.
-    build_engine:
-        Construction engine for the static trees ('batched'/'recursive',
-        see :mod:`repro.kdtree.build`); None uses the process default.
-        Every rebuild a mutation triggers goes through it.
     """
 
     def __init__(
@@ -57,7 +54,6 @@ class BDLTree:
         buffer_size: int = 1024,
         split: str = OBJECT_MEDIAN,
         leaf_size: int = 16,
-        build_engine: str | None = None,
     ):
         if buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
@@ -65,7 +61,6 @@ class BDLTree:
         self.X = buffer_size
         self.split = split
         self.leaf_size = leaf_size
-        self.build_engine = build_engine
 
         # buffer tree contents (kept as arrays; X is small)
         self.buf_pts = np.empty((0, dim), dtype=np.float64)
@@ -95,7 +90,6 @@ class BDLTree:
         buf_pts: np.ndarray,
         buf_gids: np.ndarray,
         trees: list[KDTree | None],
-        build_engine: str | None = None,
     ) -> "BDLTree":
         """Reassemble a BDL-tree around existing state (no copies, no build).
 
@@ -109,7 +103,6 @@ class BDLTree:
         self.X = buffer_size
         self.split = split
         self.leaf_size = leaf_size
-        self.build_engine = build_engine
         self.buf_pts = buf_pts
         self.buf_gids = buf_gids
         self.trees = trees
@@ -246,7 +239,6 @@ class BDLTree:
                     split=self.split,
                     leaf_size=self.leaf_size,
                     gids=src_g[lo:hi],
-                    engine=self.build_engine,
                 )
 
         if len(plans) > 1:
@@ -308,91 +300,24 @@ class BDLTree:
         queries,
         k: int,
         exclude_self: bool = False,
-        engine: str | None = None,
         bound: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors of each query across all trees.
 
         Returns (squared distances, global ids), each (m, k) sorted by
-        distance per row.  ``engine`` selects the per-tree search
-        strategy (vectorized "batched" frontier vs per-query
-        "recursive" walk); results and charges are identical.
+        distance per row.  One buffer per query is shared across the
+        log-structure's trees and the buffer tree's brute-force scan
+        (:func:`repro.kdtree.knn.knn_across`).
 
         ``bound`` is an optional per-query *exclusive* squared-distance
         cutoff: candidates at ``d2 >= bound[i]`` are pruned and rows
         may come back underfull (inf/-1 padded).  A sharded index's
         fan-out phase uses it so shards outside the candidate ball
-        prune near the root instead of running a full search.  It is a
-        pruning hint only honored by the batched engine; the recursive
-        path ignores it (returning a superset is equally correct for
-        callers that merge).
+        prune near the root instead of running a full search.
         """
-        from ..kdtree.batch import resolve_engine
-
-        if resolve_engine(engine) == "batched":
-            return self._knn_batched(queries, k, exclude_self, bound)
-        qs = as_array(queries)
-        m = len(qs)
-        kk = k + 1 if exclude_self else k
-        buffers = [KNNBuffer(kk) for _ in range(m)]
-
-        # iterate over the non-empty trees sequentially; each k-NN call
-        # is internally data-parallel and reuses the same buffers
-        from ..kdtree.knn import knn_into
-
-        for t in self.trees:
-            if t is not None and t.size() > 0:
-                knn_into(t, qs, buffers)
-
-        # the buffer tree: brute-force scan (it holds < X points)
-        if len(self.buf_pts):
-            charge(m * len(self.buf_pts))
-            for i in range(m):
-                diff = self.buf_pts - qs[i]
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                buffers[i].insert_batch(d2, self.buf_gids)
-
-        from ..kdtree.knn import extract_knn_results
-
-        return extract_knn_results(buffers, k, exclude_self)
-
-    def _knn_batched(
-        self, queries, k: int, exclude_self: bool, bound: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Array-at-a-time k-NN: one batch buffer set shared across the
-        log-structure's trees, then a vectorized buffer-tree scan."""
-        from ..kdtree.batch import BatchKNNBuffers, batched_knn_into
-
-        qs = as_array(queries)
-        m = len(qs)
-        kk = k + 1 if exclude_self else k
-        buf = BatchKNNBuffers(m, kk)
-        if bound is not None:
-            # seed the pruning bound: the search only ever tightens it
-            # (_compact takes the max of the k best, all < the seed)
-            buf.bound[:] = np.asarray(bound, dtype=np.float64)
-
-        for t in self.trees:
-            if t is not None and t.size() > 0:
-                batched_knn_into(t, qs, buf)
-
-        nb = len(self.buf_pts)
-        if nb:
-            charge(m * nb)
-            rows = np.arange(m, dtype=np.int64)
-            lens = np.full(m, nb, dtype=np.int64)
-            # chunk the (m, nb) cross-distance matrix to bound memory
-            step = max(1, (1 << 22) // max(nb, 1))
-            for lo in range(0, m, step):
-                hi = min(lo + step, m)
-                diff = self.buf_pts[None, :, :] - qs[lo:hi, None, :]
-                d2 = np.einsum("ijk,ijk->ij", diff, diff).ravel()
-                g = np.tile(self.buf_gids, hi - lo)
-                buf.insert_grouped(rows[lo:hi], d2, g, lens[lo:hi])
-            # the recursive path charges each query's insert serially
-            buf.flush_serial()
-
-        return buf.extract(k, exclude_self)
+        trees = [t for t in self.trees if t is not None and t.size() > 0]
+        scan = (self.buf_pts, self.buf_gids) if len(self.buf_pts) else None
+        return knn_across(trees, queries, k, exclude_self, bound, scan)
 
     # ------------------------------------------------------------------
     # range search across the log-structure
@@ -451,15 +376,13 @@ class BDLTree:
         tree), so row ``i`` is bitwise-identical to
         ``range_query_box(los[i], his[i])``.
         """
-        from ..kdtree.batch import batched_range_query_batch
-
         los = np.asarray(los, dtype=np.float64)
         his = np.asarray(his, dtype=np.float64)
         m = len(los)
         parts: list[list[np.ndarray]] = [[] for _ in range(m)]
         for t in self.trees:
             if t is not None and t.size() > 0:
-                for i, local in enumerate(batched_range_query_batch(t, los, his)):
+                for i, local in enumerate(range_query_batch(t, los, his)):
                     if len(local):
                         parts[i].append(t.gids[local])
         if len(self.buf_pts):
@@ -477,17 +400,13 @@ class BDLTree:
 
     def range_query_ball_batch(self, centers, radii) -> list[np.ndarray]:
         """Per-query global ids for a batch of ball queries."""
-        from ..kdtree.batch import batched_range_query_ball_batch
-
         cs = np.asarray(centers, dtype=np.float64)
         m = len(cs)
         rr = np.broadcast_to(np.asarray(radii, dtype=np.float64), (m,))
         parts: list[list[np.ndarray]] = [[] for _ in range(m)]
         for t in self.trees:
             if t is not None and t.size() > 0:
-                for i, local in enumerate(
-                    batched_range_query_ball_batch(t, cs, rr)
-                ):
+                for i, local in enumerate(range_query_ball_batch(t, cs, rr)):
                     if len(local):
                         parts[i].append(t.gids[local])
         if len(self.buf_pts):

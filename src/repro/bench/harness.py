@@ -170,25 +170,24 @@ class EngineComparison:
         }
 
 
-def measure_engines(name: str, fn, *args, repeat: int = 1,
+def measure_engines(name: str, batched, recursive, *args, repeat: int = 1,
                     meta: dict | None = None, **kwargs) -> EngineComparison:
-    """Run ``fn(engine=...)`` under both query engines and compare.
+    """Time one query workload on both execution paths and compare.
 
-    ``fn`` must accept an ``engine`` keyword (e.g. ``knn``,
-    ``range_query_batch``, ``BDLTree.knn``).  Returns the two
-    measurements plus the wall-clock ratio; the work/depth charges of
-    the two runs should agree (``charges_match``) since the engines are
-    cost-equivalent by construction.
+    ``batched`` and ``recursive`` are the two implementations of the
+    same operation (e.g. the frontier and walk paths of
+    :func:`repro.kdtree.knn.knn_across`), each called with ``*args`` and
+    ``**kwargs``.  Returns the two measurements plus the wall-clock
+    ratio; their work/depth charges should agree (``charges_match``)
+    since the paths are cost-equivalent by construction.
     """
-    batched = measure(
-        f"{name}[batched]", fn, *args, repeat=repeat,
-        meta={**(meta or {}), "engine": "batched"}, engine="batched", **kwargs,
+    return EngineComparison(
+        name,
+        measure(f"{name}[batched]", batched, *args, repeat=repeat,
+                meta={**(meta or {}), "engine": "batched"}, **kwargs),
+        measure(f"{name}[recursive]", recursive, *args, repeat=repeat,
+                meta={**(meta or {}), "engine": "recursive"}, **kwargs),
     )
-    recursive = measure(
-        f"{name}[recursive]", fn, *args, repeat=repeat,
-        meta={**(meta or {}), "engine": "recursive"}, engine="recursive", **kwargs,
-    )
-    return EngineComparison(name, batched, recursive)
 
 
 class Table:

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from ..kdtree.batch import batched_range_query_ball_batch
+from ..kdtree.range_search import range_query_ball_batch
 from ..kdtree.tree import KDTree
 from ..parlay.scheduler import use_backend
 from ..parlay.workdepth import simulated_speedup, simulated_time, tracker
@@ -65,10 +65,10 @@ def compare_cluster(
     tree = KDTree(pts)
     tracker.reset()
     t0 = time.perf_counter()
-    d2_mono, _ids_mono = tree.knn(qs, k, exclude_self=False, engine="batched")
+    d2_mono, _ids_mono = tree.knn(qs, k)
     balls_mono = [
         np.sort(tree.gids[i])
-        for i in batched_range_query_ball_batch(tree, centers, radii)
+        for i in range_query_ball_batch(tree, centers, radii)
     ]
     wall_mono = time.perf_counter() - t0
     cost_mono = tracker.reset()
@@ -77,7 +77,7 @@ def compare_cluster(
     idx = ShardedIndex(pts, n_shards)
     tracker.reset()
     t0 = time.perf_counter()
-    d2_shard, _ids_shard = idx.knn(qs, k, exclude_self=False, engine="batched")
+    d2_shard, _ids_shard = idx.knn(qs, k)
     balls_shard = idx.range_query_ball_batch(centers, radii)
     wall_shard = time.perf_counter() - t0
     cost_shard = tracker.reset()
@@ -146,10 +146,10 @@ def compare_procs(
     radii = np.full(len(centers), radius)
 
     tree = KDTree(pts)
-    d2_mono, _ = tree.knn(qs, k, exclude_self=False, engine="batched")
+    d2_mono, _ = tree.knn(qs, k)
     balls_mono = [
         np.sort(tree.gids[i])
-        for i in batched_range_query_ball_batch(tree, centers, radii)
+        for i in range_query_ball_batch(tree, centers, radii)
     ]
 
     idx = ShardedIndex(pts, n_shards)
@@ -159,10 +159,10 @@ def compare_procs(
     for p in procs:
         with use_backend("processes", int(p)):
             # warm-up: snapshot pack + pool start + worker attach
-            idx.knn(qs[: min(32, len(qs))], k, engine="batched")
+            idx.knn(qs[: min(32, len(qs))], k)
             tracker.reset()
             t0 = time.perf_counter()
-            d2, _ = idx.knn(qs, k, exclude_self=False, engine="batched")
+            d2, _ = idx.knn(qs, k)
             balls = idx.range_query_ball_batch(centers, radii)
             wall = time.perf_counter() - t0
             cost = tracker.reset()

@@ -38,7 +38,6 @@ import numpy as np
 
 from ..core.bbox import TouchedRegion, _touched
 from ..core.points import as_array
-from ..kdtree.batch import resolve_engine
 from ..obs.registry import MetricsRegistry
 from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
@@ -75,9 +74,6 @@ class ShardedIndex:
         ``max(skew_threshold * mean_size, rebalance_min)``.
     rebalance_min:
         Absolute size floor below which shards are never split.
-    build_engine:
-        Construction engine for the per-shard trees
-        ('batched'/'recursive'); None uses the process default.
     registry:
         Metrics registry to publish shard gauges / pruning histograms
         on (a private one is created when omitted).
@@ -93,7 +89,6 @@ class ShardedIndex:
         leaf_size: int = 16,
         skew_threshold: float = 4.0,
         rebalance_min: int = 1024,
-        build_engine: str | None = None,
         registry: MetricsRegistry | None = None,
     ):
         pts = as_array(points)
@@ -105,7 +100,6 @@ class ShardedIndex:
         self.dim = d
         self.buffer_size = buffer_size
         self.leaf_size = leaf_size
-        self.build_engine = build_engine
         self.skew_threshold = float(skew_threshold)
         self.rebalance_min = int(rebalance_min)
         self.part = HilbertPartitioner(pts, n_shards, bits=bits)
@@ -156,7 +150,6 @@ class ShardedIndex:
                             gids[owner == s],
                             buffer_size=buffer_size,
                             leaf_size=leaf_size,
-                            build_engine=build_engine,
                         )
                     )
                     for s in range(S)
@@ -254,14 +247,13 @@ class ShardedIndex:
         queries,
         k: int,
         exclude_self: bool = False,
-        engine: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors of each query: (sq-dists, global ids), (m, k).
 
         Rows are sorted by distance with ties broken by ascending global
         id — the canonical merge order, independent of the sharding.
+        Each shard slab picks its own search path from its size.
         """
-        engine = resolve_engine(engine)
         qs = as_array(queries)
         m = len(qs)
         kk = k + 1 if exclude_self else k
@@ -274,9 +266,7 @@ class ShardedIndex:
             probe[np.arange(m), home] = True
 
             def run_knn(s: int, qidx: np.ndarray):
-                return self.shards[s].tree.knn(
-                    qs[qidx], kk, exclude_self=False, engine=engine
-                )
+                return self.shards[s].tree.knn(qs[qidx], kk)
 
             # phase 1: probe each query's home shard for a candidate
             # kk-th distance (inf when the home shard is underfull)
@@ -284,7 +274,7 @@ class ShardedIndex:
                 probe, run_knn, "knn.probe",
                 remote=self._remote(
                     "knn", "knn.probe",
-                    lambda s, qidx: (qs[qidx], kk, engine, None),
+                    lambda s, qidx: (qs[qidx], kk, None),
                 ),
             )
             r2 = np.full(m, np.inf)
@@ -305,16 +295,13 @@ class ShardedIndex:
             cutoff = np.nextafter(r2, np.inf)
 
             def run_fanout(s: int, qidx: np.ndarray):
-                return self.shards[s].tree.knn(
-                    qs[qidx], kk, exclude_self=False, engine=engine,
-                    bound=cutoff[qidx],
-                )
+                return self.shards[s].tree.knn(qs[qidx], kk, bound=cutoff[qidx])
 
             for _, qidx, res in scatter(
                 fan, run_fanout, "knn.fanout",
                 remote=self._remote(
                     "knn", "knn.fanout",
-                    lambda s, qidx: (qs[qidx], kk, engine, cutoff[qidx]),
+                    lambda s, qidx: (qs[qidx], kk, cutoff[qidx]),
                 ),
             ):
                 parts.append((qidx, res[0], res[1]))
@@ -340,7 +327,6 @@ class ShardedIndex:
         queries,
         k: int,
         exclude_self: bool = False,
-        engine: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """*Approximate* kNN answered from each query's home shard only.
 
@@ -358,7 +344,6 @@ class ShardedIndex:
         than ``k`` points.  Callers must label results as approximate —
         the serving layer never returns them unlabelled.
         """
-        engine = resolve_engine(engine)
         qs = as_array(queries)
         m = len(qs)
         kk = k + 1 if exclude_self else k
@@ -373,9 +358,7 @@ class ShardedIndex:
             probe &= self._occupied()[None, :]
 
             def run_knn(s: int, qidx: np.ndarray):
-                return self.shards[s].tree.knn(
-                    qs[qidx], kk, exclude_self=False, engine=engine
-                )
+                return self.shards[s].tree.knn(qs[qidx], kk)
 
             parts = [
                 (qidx, d2, gid)
@@ -383,7 +366,7 @@ class ShardedIndex:
                     probe, run_knn, "knn.home",
                     remote=self._remote(
                         "knn", "knn.home",
-                        lambda s, qidx: (qs[qidx], kk, engine, None),
+                        lambda s, qidx: (qs[qidx], kk, None),
                     ),
                 )
             ]
@@ -578,7 +561,6 @@ class ShardedIndex:
             gids[sel],
             buffer_size=self.buffer_size,
             leaf_size=self.leaf_size,
-            build_engine=self.build_engine,
         )
         self.shards[s : s + 1] = [mk(left), mk(~left)]
         self._m_rebalances.inc()

@@ -70,12 +70,12 @@ def run_slab(payload):
     parent cut out of the batch (picklable, small — the shard state
     itself travels through shared memory, not the queue):
 
-    * ``"knn"``  — ``(queries, kk, engine, bound_or_None)``
+    * ``"knn"``  — ``(queries, kk, bound_or_None)``
     * ``"box"``  — ``(los, his)``
     * ``"ball"`` — ``(centers, radii)``
 
     Charges and results are identical to the in-process slab: the
-    attached tree runs the same engines over the same bytes, wrapped in
+    attached tree runs the same search over the same bytes, wrapped in
     the same ``cluster.<label>.shard`` span the inline path emits.
     """
     spec, slot, kind, label, args = payload
@@ -83,10 +83,8 @@ def run_slab(payload):
     with span(f"cluster.{label}.shard", cat="cluster",
               shard=int(slot), batch=len(args[0])):
         if kind == "knn":
-            qs, kk, engine, bound = args
-            return tree.knn(
-                qs, kk, exclude_self=False, engine=engine, bound=bound
-            )
+            qs, kk, bound = args
+            return tree.knn(qs, kk, bound=bound)
         if kind == "box":
             los, his = args
             return tree.range_query_box_batch(los, his)

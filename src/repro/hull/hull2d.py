@@ -23,7 +23,7 @@ from ..core.points import as_array
 from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge
-from .filter import at_filter, resolve_prefilter
+from .filter import at_filter
 
 __all__ = ["quickhull2d_seq", "quickhull2d_parallel", "divide_conquer_2d"]
 
@@ -101,7 +101,26 @@ def _qh_rec(
         _qh_rec(pts, ic, ib, left_cb, out, parallel, cr_cb)
 
 
-def _quickhull2d(points, parallel: bool, prefilter: bool | None = None) -> np.ndarray:
+def _filtered_quickhull2d(points, parallel: bool) -> np.ndarray:
+    """Akl–Toussaint filter-first quickhull.
+
+    The filter eliminates certainly-interior points before quickhull
+    sees them.  Kept points preserve their relative order and every
+    possible hull point survives, so the result is bitwise-identical
+    to the unfiltered run (only cheaper).
+    """
+    pts = as_array(points)
+    if pts.shape[1] == 2 and len(pts) >= 3:
+        keep = at_filter(pts)
+        if not keep.all():
+            sub = np.flatnonzero(keep)
+            return sub[_quickhull2d(pts[sub], parallel)]
+    return _quickhull2d(pts, parallel)
+
+
+def _quickhull2d(points, parallel: bool) -> np.ndarray:
+    """Quickhull without the prefilter: what ``divide_conquer_2d`` runs
+    per block, and the oracle for the filtered path."""
     pts = as_array(points)
     if pts.shape[1] != 2:
         raise ValueError("quickhull2d requires 2-dimensional points")
@@ -110,17 +129,6 @@ def _quickhull2d(points, parallel: bool, prefilter: bool | None = None) -> np.nd
         return np.empty(0, dtype=np.int64)
     if n == 1:
         return np.zeros(1, dtype=np.int64)
-
-    # Akl–Toussaint filter-first: eliminate certainly-interior points
-    # before quickhull sees them.  Kept points preserve their relative
-    # order and every possible hull point survives, so the result is
-    # bitwise-identical to the unfiltered run (only cheaper).
-    if resolve_prefilter(prefilter) and n >= 3:
-        keep = at_filter(pts)
-        if not keep.all():
-            sub = np.flatnonzero(keep)
-            local = _quickhull2d(pts[sub], parallel, prefilter=False)
-            return sub[local]
 
     with span("hull2d.partition", batch=n):
         # extreme points by lexicographic order (breaks ties deterministically)
@@ -158,19 +166,16 @@ def _quickhull2d(points, parallel: bool, prefilter: bool | None = None) -> np.nd
     return np.array(hull, dtype=np.int64)
 
 
-def quickhull2d_seq(points, prefilter: bool | None = None) -> np.ndarray:
-    """Optimized sequential quickhull (the CGAL/Qhull-role baseline).
-
-    ``prefilter`` toggles the Akl–Toussaint interior-elimination pass
-    (default ``REPRO_HULL_FILTER``, on); the result is identical either
-    way.
-    """
-    return _quickhull2d(points, parallel=False, prefilter=prefilter)
+def quickhull2d_seq(points) -> np.ndarray:
+    """Optimized sequential quickhull (the CGAL/Qhull-role baseline),
+    behind the Akl–Toussaint interior-elimination pass."""
+    return _filtered_quickhull2d(points, parallel=False)
 
 
-def quickhull2d_parallel(points, prefilter: bool | None = None) -> np.ndarray:
-    """PBBS-style recursive parallel quickhull for R^2."""
-    return _quickhull2d(points, parallel=True, prefilter=prefilter)
+def quickhull2d_parallel(points) -> np.ndarray:
+    """PBBS-style recursive parallel quickhull for R^2, behind the
+    Akl–Toussaint interior-elimination pass."""
+    return _filtered_quickhull2d(points, parallel=True)
 
 
 def divide_conquer_2d(points, c: int = 2, nblocks: int | None = None) -> np.ndarray:
@@ -196,12 +201,13 @@ def divide_conquer_2d(points, c: int = 2, nblocks: int | None = None) -> np.ndar
 
     # The block decomposition IS this algorithm's interior filter (each
     # block's hull discards its interior before the final merge), so the
-    # Akl–Toussaint prefilter stays off here: running it per block would
-    # shrink the per-block work the paper's §3 cost analysis is about
-    # without touching the answer.
+    # blocks and the final merge call the unfiltered quickhull: running
+    # the Akl–Toussaint prefilter per block would shrink the per-block
+    # work the paper's §3 cost analysis is about without touching the
+    # answer.
     def solve_block(b: int):
         lo, hi = bounds[b]
-        sub = quickhull2d_seq(pts[lo:hi], prefilter=False)
+        sub = _quickhull2d(pts[lo:hi], parallel=False)
         return sub + lo
 
     with span("hull2d.blocks", batch=nblocks):
@@ -210,5 +216,5 @@ def divide_conquer_2d(points, c: int = 2, nblocks: int | None = None) -> np.ndar
         )
         cand = np.concatenate(subs)
     with span("hull2d.final", batch=len(cand)):
-        final_local = quickhull2d_parallel(pts[cand], prefilter=False)
+        final_local = _quickhull2d(pts[cand], parallel=True)
     return cand[final_local]

@@ -5,23 +5,10 @@ Module (1) of ParGeo: construction (Alg. 1), data-parallel k-NN
 """
 
 from .allnn import all_nearest_neighbors
-from .batch import (
-    BatchKNNBuffers,
-    batched_knn,
-    batched_knn_into,
-    default_engine,
-    resolve_engine,
-    set_default_engine,
-)
-from .build import (
-    BUILD_ENGINES,
-    build_batched,
-    default_build_engine,
-    resolve_build_engine,
-    set_default_build_engine,
-)
+from .batch import BatchKNNBuffers, batched_knn_into
+from .build import build_batched
 from .delete import erase
-from .knn import extract_knn_results, knn, knn_into, knn_single
+from .knn import extract_knn_results, knn, knn_across, knn_single
 from .knnbuffer import KNNBuffer
 from .range_search import (
     range_count_box,
@@ -33,27 +20,19 @@ from .range_search import (
 from .tree import KDTree, OBJECT_MEDIAN, SPATIAL_MEDIAN, hyperceiling
 
 __all__ = [
-    "BUILD_ENGINES",
     "BatchKNNBuffers",
     "KDTree",
     "KNNBuffer",
     "OBJECT_MEDIAN",
     "all_nearest_neighbors",
     "SPATIAL_MEDIAN",
-    "batched_knn",
     "batched_knn_into",
     "build_batched",
-    "default_build_engine",
-    "default_engine",
     "erase",
-    "resolve_build_engine",
-    "resolve_engine",
-    "set_default_build_engine",
-    "set_default_engine",
     "extract_knn_results",
     "hyperceiling",
     "knn",
-    "knn_into",
+    "knn_across",
     "knn_single",
     "range_count_box",
     "range_query_ball",

@@ -1,10 +1,10 @@
-"""Dual-tree all-nearest-neighbors.
+"""All-nearest-neighbors: every point's nearest other point.
 
-For "every point's nearest neighbor" workloads (the EMST's base case,
-boruvka steps, k-NN graph with k=1), the dual-tree traversal beats
-point-at-a-time searches: node pairs prune when the box distance
-exceeds every query's current bound.  Classic Callahan–Kosaraju /
-Gray–Moore style.
+The production path runs the point set as one 1-NN batch on the
+frontier engine of :mod:`repro.kdtree.batch`.  The dual-tree traversal
+(Callahan–Kosaraju / Gray–Moore style: node pairs prune when the box
+distance exceeds every query's current bound) stays as the private
+oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 from ..core.distance import cross_dists_sq
 from ..core.points import as_array
 from ..parlay.workdepth import charge
+from . import batch
 from .tree import KDTree
 
 __all__ = ["all_nearest_neighbors"]
@@ -21,29 +22,25 @@ __all__ = ["all_nearest_neighbors"]
 _BRUTE = 1024
 
 
-def all_nearest_neighbors(points, engine: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+def all_nearest_neighbors(points) -> tuple[np.ndarray, np.ndarray]:
     """Nearest neighbor of every point (excluding itself).
 
     Returns (dists, ids): Euclidean distance and index of each point's
-    nearest other point.
-
-    ``engine="batched"`` (default) runs the whole point set as one
-    vectorized 1-NN batch over the frontier engine, banning each
-    query's own id so duplicates still pair up with each other;
-    ``engine="recursive"`` uses the classic dual-tree traversal.
+    nearest other point.  The whole point set runs as one 1-NN batch on
+    the frontier engine, banning each query's own id so duplicates
+    still pair up with each other.
     """
-    from .batch import BatchKNNBuffers, batched_knn_into, resolve_engine
+    pts = as_array(points)
+    if len(pts) < 2:
+        raise ValueError("need at least 2 points")
+    return batch.batched_allnn_on_tree(KDTree(pts, leaf_size=16))
 
+
+def _dual_tree_allnn(points) -> tuple[np.ndarray, np.ndarray]:
+    """Classic dual-tree all-NN: the oracle :func:`all_nearest_neighbors`
+    is tested against (same return convention)."""
     pts = as_array(points)
     n = len(pts)
-    if n < 2:
-        raise ValueError("need at least 2 points")
-    if resolve_engine(engine) == "batched":
-        tree = KDTree(pts, leaf_size=16)
-        buf = BatchKNNBuffers(n, 1)
-        batched_knn_into(tree, pts, buf, ban=np.arange(n, dtype=np.int64))
-        d, i = buf.extract(1, exclude_self=False)
-        return np.sqrt(d[:, 0]), i[:, 0]
     tree = KDTree(pts, leaf_size=16)
     best_d = np.full(n, np.inf)
     best_i = np.full(n, -1, dtype=np.int64)

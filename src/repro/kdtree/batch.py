@@ -28,13 +28,13 @@ with :func:`repro.parlay.workdepth.charge_blocked` using the *same*
 block structure the recursive path hands to the scheduler — so the
 simulated-speedup numbers are unchanged: only wall-clock drops.
 
-The engine is selected with ``engine="batched" | "recursive"`` on the
-query entry points, defaulting to ``REPRO_QUERY_ENGINE`` (batched).
+The query entry points (:func:`repro.kdtree.knn.knn`,
+:func:`~repro.kdtree.range_search.range_query_batch`, ...) run a batch
+here once it is large enough to amortize the engine's fixed per-call
+cost; smaller batches take the per-query walk.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -45,51 +45,13 @@ from ..parlay.workdepth import charge, charge_blocked
 from .tree import KDTree
 
 __all__ = [
-    "ENGINES",
     "BatchKNNBuffers",
     "batched_allnn_on_tree",
-    "batched_knn",
     "batched_knn_into",
     "batched_range_query_batch",
     "batched_range_query_ball_batch",
-    "default_engine",
     "execute_requests",
-    "resolve_engine",
-    "set_default_engine",
 ]
-
-#: Recognized query engines.
-ENGINES = ("batched", "recursive")
-
-_default_engine = os.environ.get("REPRO_QUERY_ENGINE", "batched")
-
-
-def default_engine() -> str:
-    """The engine used when a query is issued without ``engine=``."""
-    return _default_engine
-
-
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default query engine."""
-    global _default_engine
-    if name not in ENGINES:
-        raise ValueError(f"unknown query engine {name!r}; expected one of {ENGINES}")
-    _default_engine = name
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Validate an ``engine=`` argument, applying the default for None."""
-    if engine is None:
-        engine = _default_engine
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown query engine {engine!r} (from REPRO_QUERY_ENGINE); "
-                f"expected one of {ENGINES}"
-            )
-        return engine
-    if engine not in ENGINES:
-        raise ValueError(f"unknown query engine {engine!r}; expected one of {ENGINES}")
-    return engine
 
 
 def _ragged_arange(lens: np.ndarray) -> np.ndarray:
@@ -449,7 +411,7 @@ def batched_knn_into(
     buf: BatchKNNBuffers,
     ban: np.ndarray | None = None,
 ) -> None:
-    """Array-at-a-time counterpart of :func:`repro.kdtree.knn.knn_into`.
+    """Array-at-a-time counterpart of the per-query walk in :mod:`.knn`.
 
     Accumulates into the batch buffers (reused across a BDL structure's
     trees) and charges exactly what the recursive path would: per-visit
@@ -468,17 +430,6 @@ def batched_knn_into(
         charge_blocked(buf.qwork, buf.qdepth, blocks)
     buf.qwork[:] = 0.0
     buf.qdepth[:] = 0.0
-
-
-def batched_knn(
-    tree: KDTree, queries, k: int, exclude_self: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched engine behind :func:`repro.kdtree.knn.knn`."""
-    qs = as_array(queries)
-    kk = k + 1 if exclude_self else k
-    buf = BatchKNNBuffers(len(qs), kk)
-    batched_knn_into(tree, qs, buf)
-    return buf.extract(k, exclude_self)
 
 
 # ----------------------------------------------------------------------
@@ -675,15 +626,19 @@ def batched_allnn_on_tree(tree: KDTree) -> tuple[np.ndarray, np.ndarray]:
 def _range_box_results(index, los: np.ndarray, his: np.ndarray) -> list[np.ndarray]:
     """Per-query global-id hits for a box batch on a KDTree or BDL index."""
     if isinstance(index, KDTree):
-        return [index.gids[ids] for ids in batched_range_query_batch(index, los, his)]
+        from .range_search import range_query_batch
+
+        return [index.gids[ids] for ids in range_query_batch(index, los, his)]
     return index.range_query_box_batch(los, his)
 
 
 def _range_ball_results(index, centers: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
     if isinstance(index, KDTree):
+        from .range_search import range_query_ball_batch
+
         return [
             index.gids[ids]
-            for ids in batched_range_query_ball_batch(index, centers, radii)
+            for ids in range_query_ball_batch(index, centers, radii)
         ]
     return index.range_query_ball_batch(centers, radii)
 
@@ -707,11 +662,11 @@ def execute_requests(index, requests, costs_out: list | None = None) -> list:
       requires a view-bearing dynamic dataset).
 
     Requests are grouped by ``(kind, params)`` preserving first-seen
-    order and each group runs as ONE vectorized shot through the
-    batched engine, so a mixed slab from the service's coalescer costs
-    a handful of numpy dispatches instead of one tree walk per request.
-    Results come back in input order and are bitwise-identical to
-    running each request alone through the recursive engine.
+    order and each group runs as ONE batched query call (the frontier
+    engine once the group is large enough), so a mixed slab from the
+    service's coalescer costs a handful of numpy dispatches instead of
+    one tree walk per request.  Results come back in input order and
+    are bitwise-identical to running each request alone.
 
     ``index`` is a :class:`KDTree` or a BDL-style index exposing
     ``knn`` / ``range_query_box_batch`` / ``range_query_ball_batch``;
@@ -764,10 +719,7 @@ def _run_group(index, requests, results, kind, params, idxs) -> None:
     if kind == "knn":
         qs = np.stack([np.asarray(requests[i][1], dtype=np.float64) for i in idxs])
         d, g = index.knn(
-            qs,
-            params["k"],
-            exclude_self=params.get("exclude_self", False),
-            engine="batched",
+            qs, params["k"], exclude_self=params.get("exclude_self", False)
         )
         for r, i in enumerate(idxs):
             results[i] = (d[r].copy(), g[r].copy())

@@ -28,64 +28,19 @@ charges are therefore identical on every backend; what the batched
 engine gives up is per-task ``parlay.task`` spans under tracing (the
 same trade the batched query engine made).
 
-The engine is selected with ``engine="batched" | "recursive"`` on the
-construction entry points, defaulting to ``REPRO_BUILD_ENGINE``
-(batched).
+:class:`~repro.kdtree.tree.KDTree` builds every object-median tree
+here; the recursive builder stays as the oracle it is tested against.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from ..parlay.workdepth import charge
 
-__all__ = [
-    "BUILD_ENGINES",
-    "build_batched",
-    "default_build_engine",
-    "resolve_build_engine",
-    "set_default_build_engine",
-]
-
-#: Recognized construction engines.
-BUILD_ENGINES = ("batched", "recursive")
-
-_default_build_engine = os.environ.get("REPRO_BUILD_ENGINE", "batched")
-
-
-def default_build_engine() -> str:
-    """The engine used when a tree is built without ``engine=``."""
-    return _default_build_engine
-
-
-def set_default_build_engine(name: str) -> None:
-    """Set the process-wide default construction engine."""
-    global _default_build_engine
-    if name not in BUILD_ENGINES:
-        raise ValueError(
-            f"unknown build engine {name!r}; expected one of {BUILD_ENGINES}"
-        )
-    _default_build_engine = name
-
-
-def resolve_build_engine(engine: str | None) -> str:
-    """Validate an ``engine=`` argument, applying the default for None."""
-    if engine is None:
-        engine = _default_build_engine
-        if engine not in BUILD_ENGINES:
-            raise ValueError(
-                f"unknown build engine {engine!r} (from REPRO_BUILD_ENGINE); "
-                f"expected one of {BUILD_ENGINES}"
-            )
-        return engine
-    if engine not in BUILD_ENGINES:
-        raise ValueError(
-            f"unknown build engine {engine!r}; expected one of {BUILD_ENGINES}"
-        )
-    return engine
+__all__ = ["build_batched"]
 
 
 # ----------------------------------------------------------------------

@@ -114,7 +114,7 @@ def pack_tree(tree: KDTree, buf, offset: int = 0) -> tuple[dict, int]:
 def attach_tree(spec: dict, buf) -> KDTree:
     """Reconstruct a ``KDTree`` over zero-copy views into ``buf``.
 
-    The returned tree answers every query (both engines) identically to
+    The returned tree answers every query (on either path) identically to
     the packed original; its arrays are read-only views, so it must not
     be mutated (no erase/insert) and must not outlive the buffer.
     """

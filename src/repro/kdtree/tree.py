@@ -23,7 +23,7 @@ from ..core.points import as_array
 from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge, fork_costs
-from .build import build_batched, resolve_build_engine
+from .build import build_batched
 
 __all__ = ["KDTree", "hyperceiling", "SPATIAL_MEDIAN", "OBJECT_MEDIAN"]
 
@@ -53,17 +53,24 @@ class KDTree:
         ``'object'`` (object median) or ``'spatial'`` (spatial median).
     leaf_size:
         Target maximum points per leaf.
-    engine:
-        Construction engine: ``'batched'`` (level-at-a-time vectorized
-        build, see :mod:`repro.kdtree.build`) or ``'recursive'`` (the
-        per-node recursion below).  Defaults to ``REPRO_BUILD_ENGINE``.
-        Both produce bitwise-identical trees and charges; spatial-median
-        trees have data-dependent structure and always build via the
-        recursive path.
+
+    Object-median trees build level at a time (:mod:`repro.kdtree.build`);
+    spatial-median trees have data-dependent structure and build by the
+    per-node recursion of :meth:`_build`.  The two builders produce
+    bitwise-identical object-median trees and charges.
     """
 
-    def __init__(self, points, split: str = OBJECT_MEDIAN, leaf_size: int = 16, gids=None,
-                 engine: str | None = None):
+    def __init__(self, points, split: str = OBJECT_MEDIAN, leaf_size: int = 16, gids=None):
+        self._allocate(points, split, leaf_size, gids)
+        if self.n_points > 0:
+            with span("kdtree.build", batch=self.n_points, split=split):
+                if split == OBJECT_MEDIAN:
+                    build_batched(self)
+                else:
+                    self._build()
+
+    def _allocate(self, points, split: str, leaf_size: int, gids) -> None:
+        """Validate the arguments and allocate the empty node arrays."""
         pts = as_array(points)
         if split not in (OBJECT_MEDIAN, SPATIAL_MEDIAN):
             raise ValueError(f"unknown split rule {split!r}")
@@ -80,7 +87,6 @@ class KDTree:
                 raise ValueError("gids length mismatch")
         self.split = split
         self.leaf_size = leaf_size
-        self.build_engine = resolve_build_engine(engine)
         n, d = pts.shape
         self.n_points = n
         self.dim = d
@@ -114,14 +120,6 @@ class KDTree:
         # monotonic mutation counter: bumped whenever the live point set
         # changes, so result caches keyed on it can never serve stale data
         self.version = 0
-
-        if n > 0:
-            with span("kdtree.build", batch=n, split=split,
-                      engine=self.build_engine):
-                if self.build_engine == "batched" and split == OBJECT_MEDIAN:
-                    build_batched(self)
-                else:
-                    self._build()
 
     # ------------------------------------------------------------------
     # Construction (paper Algorithm 1)
@@ -322,15 +320,10 @@ class KDTree:
 
     # -- queries are provided by the sibling modules and re-exported on the
     #    class for convenience --------------------------------------------
-    def knn(self, queries, k: int, exclude_self: bool = False, engine: str | None = None):
+    def knn(self, queries, k: int, exclude_self: bool = False):
         from .knn import knn as _knn
 
-        return _knn(self, queries, k, exclude_self=exclude_self, engine=engine)
-
-    def knn_into(self, queries, buffers, exclude_self: bool = False):
-        from .knn import knn_into as _knn_into
-
-        return _knn_into(self, queries, buffers, exclude_self=exclude_self)
+        return _knn(self, queries, k, exclude_self=exclude_self)
 
     def range_query_box(self, lo, hi):
         from .range_search import range_query_box as _rq
@@ -346,3 +339,15 @@ class KDTree:
         from .delete import erase as _erase
 
         return _erase(self, point_coords)
+
+
+def _recursive_tree(points, split: str = OBJECT_MEDIAN, leaf_size: int = 16,
+                    gids=None) -> KDTree:
+    """A tree built by the per-node recursion (:meth:`KDTree._build`)
+    whatever the split rule: the oracle the level-at-a-time builder is
+    tested and timed against."""
+    tree = KDTree.__new__(KDTree)
+    tree._allocate(points, split, leaf_size, gids)
+    if tree.n_points > 0:
+        tree._build()
+    return tree

@@ -7,8 +7,8 @@ all-NN requests against registered point indexes (static
 batches the array-at-a-time engine (PR 1) is 11–18x faster on:
 
 * **Dynamic batching** — a coalescing queue groups compatible pending
-  requests (same dataset, same kind / k) and dispatches them in one
-  vectorized shot through ``engine="batched"``, bounded by
+  requests (same dataset, same kind / k) and dispatches them as one
+  batched query call, bounded by
   ``max_batch`` (size trigger) and ``max_wait`` (latency trigger).
 * **Versioned result cache** — an LRU keyed by (dataset epoch, tree
   version, kind, params, query digest).  The index's ``version``
@@ -33,8 +33,8 @@ use) and *threaded* (:meth:`start` spawns a dispatcher thread that
 batches on the size/deadline triggers while client threads block on
 tickets).
 
-Results are bitwise-identical to per-request recursive queries: the
-batched engine replays the recursive walk exactly (see
+Results are bitwise-identical to per-request queries: the batched
+engine replays the per-query walk exactly (see
 :mod:`repro.kdtree.batch`), grouping only merges independent queries,
 and the cache stores exactly what an execution returned.
 

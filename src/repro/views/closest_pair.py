@@ -178,13 +178,13 @@ class ClosestPairView(MaterializedView):
     # incremental maintenance
     # ------------------------------------------------------------------
     def _repair_insert(self, mirror: Mirror, rows: np.ndarray) -> None:
-        if self.answer is None and mirror.n_live() - len(rows) >= 1:
-            # fewer than 2 points before: nothing to repair against
-            if mirror.n_live() >= 2:
-                self.note_recompute()
-                self._rebuild(mirror)
-            return
         if mirror.n_live() < 2:
+            return
+        if self.answer is None:
+            # fewer than 2 points before: nothing to repair against, and
+            # the grid's cell width may be left over from an older state
+            self.note_recompute()
+            self._rebuild(mirror)
             return
         self.note_repair()
         self._index_rows(mirror, rows)
@@ -194,7 +194,7 @@ class ClosestPairView(MaterializedView):
         ).reshape(-1, d)
         cells = self._cells_of(mirror.pts[rows], self.w)
         best = self.answer
-        cutoff = best[0] if best is not None else np.inf
+        cutoff = best[0]
         for r, c in zip(rows, cells):
             cand = []
             for off in offsets:
@@ -207,20 +207,12 @@ class ClosestPairView(MaterializedView):
                 continue
             here = np.full(len(cand), r, dtype=np.int64)
             # <= cutoff keeps ties, which may be lexicographically smaller
-            got = self._best_of(
-                mirror.pts, mirror.gids, here, cand,
-                cutoff if np.isfinite(cutoff) else np.inf,
-            )
+            got = self._best_of(mirror.pts, mirror.gids, here, cand, cutoff)
             new = _lex_min(best, got)
             if new is not best:
                 best = new
                 cutoff = best[0]
         self.answer = best
-        if self.answer is None:
-            # no pair within the invariant width existed yet (previous
-            # state had < 2 points); fall back once
-            self.note_recompute()
-            self._rebuild(mirror)
 
     def _repair_erase(self, mirror: Mirror, rows: np.ndarray) -> None:
         if mirror.n_live() < 2:

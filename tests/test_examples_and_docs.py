@@ -159,3 +159,64 @@ class TestCLIHelp:
         bench_help = sub.choices["cluster-bench"].format_help()
         for flag in ("--shards", "--workers", "--json-out"):
             assert flag in bench_help, flag
+
+
+class TestNoPathKnobs:
+    """Queries, builds and hulls pick their own execution path: the
+    retired selection knobs must not come back."""
+
+    KNOBS = ("REPRO_QUERY_ENGINE", "REPRO_BUILD_ENGINE", "REPRO_HULL_FILTER",
+             "--engine", "--build-engine", "build_engine")
+
+    @staticmethod
+    def _files():
+        yield from sorted((REPO / "src").rglob("*.py"))
+        yield REPO / "README.md"
+        yield REPO / "DESIGN.md"
+        skills = REPO / ".claude" / "skills"
+        if skills.is_dir():
+            yield from sorted(p for p in skills.rglob("*") if p.is_file())
+
+    def test_knobs_absent_from_source_and_docs(self):
+        hits = [
+            f"{path.relative_to(REPO)}:{no}: {knob}"
+            for path in self._files()
+            for no, line in enumerate(path.read_text().splitlines(), 1)
+            for knob in self.KNOBS
+            if knob in line
+        ]
+        assert not hits, "retired knobs still mentioned:\n" + "\n".join(hits)
+
+    def test_no_public_signature_takes_a_path_choice(self):
+        import importlib
+        import inspect
+
+        banned = {"engine", "build_engine", "prefilter"}
+        bad = []
+        for mod in ("repro", "repro.kdtree", "repro.bdl", "repro.cluster",
+                    "repro.hull", "repro.clustering", "repro.graphs"):
+            m = importlib.import_module(mod)
+            for name in m.__all__:
+                obj = getattr(m, name)
+                members = [obj]
+                if inspect.isclass(obj):
+                    members += [f for k, f in vars(obj).items()
+                                if callable(f) and not k.startswith("_")]
+                for fn in members:
+                    try:
+                        params = inspect.signature(fn).parameters
+                    except (TypeError, ValueError):
+                        continue
+                    if banned & set(params):
+                        bad.append(f"{mod}.{name}")
+        assert not bad, f"path-choice parameters on: {sorted(set(bad))}"
+
+    def test_knn_help_lists_no_engine_flag(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        sub = next(
+            a for a in parser._actions
+            if a.__class__.__name__ == "_SubParsersAction"
+        )
+        assert "engine" not in sub.choices["knn"].format_help()

@@ -10,14 +10,14 @@ from repro.generators import in_sphere, on_cube, on_sphere, uniform
 from repro.hull import (
     at_extremes,
     at_filter,
-    default_hull_prefilter,
     divide_conquer_2d,
     quickhull2d_parallel,
     quickhull2d_seq,
     randinc_hull2d,
     reservation_quickhull2d,
-    set_default_hull_prefilter,
 )
+from repro.hull.hull2d import _quickhull2d
+from repro.obs import trace
 
 
 def hull_set(fn, pts):
@@ -117,20 +117,25 @@ def _grid(min_n, max_n, lim=_LIM):
 
 def _assert_filter_transparent(pts):
     """Filtered hull bitwise-equal to unfiltered, for both variants."""
-    for fn in (quickhull2d_seq, quickhull2d_parallel):
-        unf = fn(pts, prefilter=False)
-        fil = fn(pts, prefilter=True)
+    for fn, parallel in ((quickhull2d_seq, False), (quickhull2d_parallel, True)):
+        unf = _quickhull2d(pts, parallel)
+        fil = fn(pts)
         assert np.array_equal(unf, fil), (fn.__name__, pts[:8])
 
 
 class TestAklToussaintFilter:
     def test_default_is_on(self):
-        assert default_hull_prefilter() is True
-        set_default_hull_prefilter(False)
-        try:
-            assert default_hull_prefilter() is False
-        finally:
-            set_default_hull_prefilter(True)
+        # quickhull always runs the filter; divide-and-conquer's blocks
+        # and final merge never do
+        pts = uniform(20_000, 2, seed=5).coords
+        for fn in (quickhull2d_seq, quickhull2d_parallel):
+            with trace("t") as rec:
+                fn(pts)
+            assert "hull2d.filter" in {s.name for s in rec.spans()}
+        with trace("t") as rec:
+            divide_conquer_2d(pts, nblocks=4)
+        names = {s.name for s in rec.spans()}
+        assert "hull2d.blocks" in names and "hull2d.filter" not in names
 
     def test_filter_actually_eliminates(self):
         pts = uniform(3000, 2, seed=3).coords
@@ -155,7 +160,7 @@ class TestAklToussaintFilter:
         if len(pts) >= 3:
             keep = at_filter(pts)
             assert keep[at_extremes(pts)].all()
-            hull = quickhull2d_seq(pts, prefilter=False)
+            hull = _quickhull2d(pts, parallel=False)
             assert keep[hull].all()
 
     @given(pts=_grid(3, 80, lim=3))

@@ -113,18 +113,26 @@ class TestCLI:
         assert mat.shape == (400, 3)
 
     def test_knn_engines_agree(self, tmp_path, capsys):
+        # the CLI picks the search path itself; its output file equals
+        # what both paths produce in-process
+        from repro.kdtree import KDTree
+
+        from .paths import frontier_knn, walk_knn
+
         f = str(tmp_path / "p.npy")
         self._run("generate", "2D-U-300", "-o", f)
-        batched = str(tmp_path / "nn_batched.csv")
-        recursive = str(tmp_path / "nn_recursive.csv")
-        assert self._run("knn", f, "-k", "4", "--engine", "batched", "-o", batched) == 0
-        assert self._run("knn", f, "-k", "4", "--engine", "recursive", "-o", recursive) == 0
-        out = capsys.readouterr().out
-        assert "batched engine" in out and "recursive engine" in out
-        a = np.loadtxt(batched, delimiter=",")
-        b = np.loadtxt(recursive, delimiter=",")
-        assert a.shape == (300, 4)
-        assert np.array_equal(a, b)
+        nn = str(tmp_path / "nn.csv")
+        assert self._run("knn", f, "-k", "4", "-o", nn) == 0
+        got = np.loadtxt(nn, delimiter=",")
+        assert got.shape == (300, 4)
+        pts = load_points(f).coords
+        tree = KDTree(pts)
+        for run in (walk_knn, frontier_knn):
+            _, ids = run(tree, pts, 4, exclude_self=True)
+            assert np.array_equal(got, ids)
+        with pytest.raises(SystemExit) as err:
+            self._run("knn", f, "-k", "4", "--engine", "batched")
+        assert err.value.code == 2
 
     def test_emst_and_graph(self, tmp_path, capsys):
         f = str(tmp_path / "p.npy")

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdl import BDLTree
-from repro.kdtree import KDTree, all_nearest_neighbors, knn
+from repro.kdtree import KDTree
+from repro.kdtree.allnn import _dual_tree_allnn
 from repro.serve import (
     Coalescer,
     GeometryService,
@@ -33,6 +34,14 @@ from repro.serve import (
     zipf_trace,
 )
 from repro.serve.cache import MISS
+
+from .paths import forced, walk_knn
+
+
+def on_walk(fn, *args):
+    """``fn(*args)`` with every kd-tree query on the per-query walk."""
+    with forced("walk"):
+        return fn(*args)
 
 
 def _pts(n=200, d=2, seed=0):
@@ -63,7 +72,7 @@ class TestIdentity:
         qs = pts[:25] + 0.001
         tickets = [svc.submit("data", "knn", q, k=5) for q in qs]
         svc.flush()
-        dr, ir = knn(tree, qs, 5, engine="recursive")
+        dr, ir = walk_knn(tree, qs, 5)
         for j, t in enumerate(tickets):
             d, i = t.result(0)
             assert np.array_equal(d, dr[j])
@@ -77,7 +86,7 @@ class TestIdentity:
         qs = pts[:20]
         tickets = [svc.submit("data", "knn", q, k=4) for q in qs]
         svc.flush()
-        dr, ir = bdl.knn(qs, 4, engine="recursive")
+        dr, ir = on_walk(bdl.knn, qs, 4)
         for j, t in enumerate(tickets):
             d, i = t.result(0)
             assert np.array_equal(d, dr[j]) and np.array_equal(i, ir[j])
@@ -110,7 +119,7 @@ class TestIdentity:
         pts = _pts(150, seed=2)
         svc = _service(KDTree(pts))
         d, i = svc.allnn("data")
-        dr, ir = all_nearest_neighbors(pts, engine="recursive")
+        dr, ir = _dual_tree_allnn(pts)
         assert np.allclose(d, dr) and np.array_equal(i, ir)
 
     def test_exclude_self_param_distinguished(self):
@@ -223,7 +232,7 @@ class TestCache:
         assert not t.done()  # old cache entry unreachable under new version
         svc.flush()
         d, i = t.result(0)
-        dr, ir = bdl.knn(q[None, :], 3, engine="recursive")
+        dr, ir = on_walk(bdl.knn, q[None, :], 3)
         assert np.array_equal(d, dr[0]) and np.array_equal(i, ir[0])
 
     def test_erase_bumps_kdtree_version(self):
@@ -247,7 +256,7 @@ class TestCache:
         da, ia = svc.knn("data", pts_a[0], 3)
         svc.register("data", KDTree(pts_b))  # same name, same version=0
         db, ib = svc.knn("data", pts_a[0], 3)
-        want_d, want_i = knn(KDTree(pts_b), pts_a[0][None, :], 3, engine="recursive")
+        want_d, want_i = walk_knn(KDTree(pts_b), pts_a[0][None, :], 3)
         assert np.array_equal(db, want_d[0]) and np.array_equal(ib, want_i[0])
 
     def test_lru_eviction_bounded(self):
@@ -350,13 +359,13 @@ class TestDispatcher:
         tree = KDTree(pts)
         with _service(tree, max_wait=0.001).start() as svc:
             d, i = svc.knn("data", pts[3], 4, timeout=5.0)
-            dr, ir = knn(tree, pts[3][None, :], 4, engine="recursive")
+            dr, ir = walk_knn(tree, pts[3][None, :], 4)
             assert np.array_equal(d, dr[0]) and np.array_equal(i, ir[0])
 
     def test_concurrent_clients_identical_results(self):
         pts = _pts(300, seed=15)
         tree = KDTree(pts)
-        dr, ir = knn(tree, pts[:40], 3, engine="recursive")
+        dr, ir = walk_knn(tree, pts[:40], 3)
         svc = _service(tree, max_wait=0.001).start()
         errors = []
 
@@ -480,7 +489,7 @@ def test_cache_never_stale_under_interleaved_mutations(ops, seed):
         q = queries[x % len(queries)]
         k = min(3, len(bdl))
         d, i = svc.knn("data", q, k)
-        dr, ir = bdl.knn(q[None, :], k, engine="recursive")
+        dr, ir = on_walk(bdl.knn, q[None, :], k)
         assert np.array_equal(d, dr[0]), "stale cached distances"
         assert np.array_equal(i, ir[0]), "stale cached neighbors"
 
@@ -523,7 +532,7 @@ def test_cache_never_stale_with_sharded_index(ops, seed):
         q = queries[x % len(queries)]
         k = min(3, len(idx))
         d, i = svc.knn("data", q, k)
-        dr, ir = idx.knn(q[None, :], k, engine="recursive")
+        dr, ir = on_walk(idx.knn, q[None, :], k)
         assert np.array_equal(d, dr[0]), "stale cached distances"
         assert np.array_equal(i, ir[0]), "stale cached neighbors"
 
