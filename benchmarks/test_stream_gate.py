@@ -144,6 +144,11 @@ def test_stream_incremental_vs_recompute(benchmark):
         )
 
     speedup = t_base / t_inc if t_inc > 0 else float("inf")
+    hist = mgr.registry.get("view_repair_seconds")
+    repair_s = {}
+    for name in stats:
+        h = hist.labels(name).value
+        repair_s[name] = {"batches": h["count"], "seconds": h["sum"]}
     _stream_records.update({
         "n_ops": len(trace),
         "n_mutations": n_mut,
@@ -154,6 +159,9 @@ def test_stream_incremental_vs_recompute(benchmark):
         "speedup": speedup,
         "answers_equal": True,
         "view_stats": stats,
+        # per-view repair wall time over the trace's mutation batches,
+        # from the manager's view_repair_seconds histogram
+        "view_repair_s": repair_s,
         "speedup_gate_applied": FULL_SCALE,
     })
 

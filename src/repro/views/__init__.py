@@ -8,9 +8,13 @@ under batched inserts and erases instead of recomputed per query:
 * :class:`ClosestPairView` — sparse-partition closest pair; repairs
   scan only the grid neighborhoods the batch touched.
 * :class:`DBSCANView` — incremental DBSCAN labels; re-clusters only
-  points whose eps-neighborhood changed, merging with union-find.
-* :class:`HullView` — 2D hull maintained by the reservation-based
-  randomized incremental algorithm over hull ∪ batch candidates.
+  points whose eps-neighborhood changed, merging with union-find; the
+  answer tuple is built on read.
+* :class:`HullView` — 2D hull maintained by a monotone chain over
+  hull ∪ batch candidates.
+
+Both grid-based views keep a :class:`Grid` over the live rows, updated
+in place with every batch and queried a batch of balls at a time.
 
 Every view obeys the canonical-equality contract (see
 :mod:`repro.views.base`): its maintained answer is bitwise-equal to the
@@ -19,7 +23,7 @@ from-scratch ``compute`` reference at every version.  The
 serving layer exposes registered views as the ``view`` request kind.
 """
 
-from .base import MaterializedView, Mirror, pairs_d2
+from .base import Grid, MaterializedView, Mirror, pairs_d2
 from .closest_pair import ClosestPairView
 from .dbscan import DBSCANView
 from .hull2d import HullView
@@ -28,6 +32,7 @@ from .manager import ViewManager
 __all__ = [
     "ClosestPairView",
     "DBSCANView",
+    "Grid",
     "HullView",
     "MaterializedView",
     "Mirror",

@@ -1,13 +1,15 @@
 """Batch-dynamic closest-pair view (sparse-partition style).
 
 Follows the structure of Wang, Yu, Gu & Shun's parallel batch-dynamic
-closest pair: the view keeps the live points bucketed in a uniform grid
-whose cell width ``w`` satisfies the **sparse-partition invariant**
-``w^2 >= answer_d2`` — every pair that could beat (or tie) the current
-answer has per-coordinate extent at most ``w`` and therefore lies in
-the same or an adjacent cell.  A batch insert then repairs the answer
-by scanning only the ``3^d`` neighborhoods of the cells the batch
-touched (the candidate neighbor set); a batch erase that keeps both
+closest pair: the view keeps exactly the live rows bucketed in a
+:class:`~repro.views.base.Grid` (inserted and erased in place with each
+batch) whose cell width ``w`` satisfies the **sparse-partition
+invariant** ``w^2 >= answer_d2`` — every pair that could beat (or tie)
+the current answer has per-coordinate extent at most ``w`` and
+therefore lies in the same or an adjacent cell.  A batch insert then
+repairs the answer with one batched ball query of radius
+``sqrt(answer_d2)`` around the batch, which scans only the ``3^d``
+neighborhoods of the cells the batch touched; a batch erase that keeps both
 answer endpoints alive is free (deleting points can only *remove*
 pairs, so the surviving minimum is unchanged); an erase that kills an
 endpoint falls back to a counted from-scratch recompute, which also
@@ -26,7 +28,7 @@ import numpy as np
 
 from ..closestpair.divide_conquer import _rec
 from ..parlay.workdepth import charge
-from .base import MaterializedView, Mirror, pairs_d2
+from .base import Grid, MaterializedView, Mirror, pairs_d2
 
 __all__ = ["ClosestPairView"]
 
@@ -67,76 +69,58 @@ class ClosestPairView(MaterializedView):
 
     kind = "closest_pair"
 
-    def __init__(self, name: str = "closest_pair"):
-        super().__init__(name)
-        self.w = 1.0
-        self._cells: dict[tuple, list] = {}
-
     # ------------------------------------------------------------------
     # canonical from-scratch reference
     # ------------------------------------------------------------------
     @classmethod
     def compute(cls, pts: np.ndarray, gids: np.ndarray):
         """The canonical answer for a live set: ``(d2, gi, gj)`` or None."""
-        answer, _w = cls._canonical(
-            np.ascontiguousarray(pts, dtype=np.float64),
-            np.asarray(gids, dtype=np.int64),
+        if len(pts) < 2:
+            return None
+        pts = np.ascontiguousarray(pts, dtype=np.float64)
+        answer, _grid = cls._canonical(
+            pts, np.asarray(gids, dtype=np.int64),
+            np.arange(len(pts), dtype=np.int64),
         )
         return answer
 
-    @staticmethod
-    def _cells_of(pts: np.ndarray, w: float) -> np.ndarray:
-        return np.floor(pts / w).astype(np.int64)
-
     @classmethod
-    def _canonical(cls, pts: np.ndarray, gids: np.ndarray):
-        """(answer, grid width) from scratch.
+    def _canonical(cls, pts: np.ndarray, gids: np.ndarray, rows: np.ndarray):
+        """(answer, grid over ``rows``) from scratch.
 
         Uses the repo's divide-and-conquer closest pair for an upper
-        bound ``r2``, then canonicalizes: collect every pair within the
-        slightly-inflated bound from a grid of width ``sqrt(cutoff)``
-        and take the lexicographic minimum under :func:`pairs_d2`.
+        bound ``r2``, then canonicalizes: one batched ball query on a
+        grid of width ``sqrt(cutoff)`` collects every pair within the
+        slightly-inflated bound, and the answer is their lexicographic
+        minimum under :func:`pairs_d2`.
         """
-        n = len(pts)
-        if n < 2:
-            return None, 1.0
-        r2, _i, _j = _rec(pts, np.arange(n, dtype=np.int64), 0, False)
-        if r2 == 0.0:
-            return _duplicate_answer(pts, gids), 1.0
-        # inflate by an ulp + relative slack: _rec's internal distance
-        # expression may differ from pairs_d2 by a rounding step, and
-        # the canonical minimum must never be excluded by the bound
-        cutoff = max(np.nextafter(r2, np.inf), r2 * (1.0 + 1e-12))
-        w = float(np.nextafter(np.sqrt(cutoff), np.inf))
-        cells = cls._cells_of(pts, w)
-        buckets: dict[tuple, list] = {}
-        for row, c in enumerate(map(tuple, cells)):
-            buckets.setdefault(c, []).append(row)
+        n = len(rows)
+        answer, w = None, 1.0
+        if n >= 2:
+            sub = pts[rows]
+            r2, _i, _j = _rec(sub, np.arange(n, dtype=np.int64), 0, False)
+            if r2 == 0.0:
+                answer = _duplicate_answer(sub, gids[rows])
+            else:
+                # inflate by an ulp + relative slack: _rec's internal
+                # distance expression may differ from pairs_d2 by a
+                # rounding step, and the canonical minimum must never be
+                # excluded by the bound
+                cutoff = max(np.nextafter(r2, np.inf), r2 * (1.0 + 1e-12))
+                w = float(np.nextafter(np.sqrt(cutoff), np.inf))
+        grid = Grid(w, pts.shape[1])
+        grid.insert(pts, rows)
+        if answer is None and n >= 2:
+            answer = cls._best_within(pts, gids, grid, rows, cutoff)
+        return answer, grid
 
-        d = pts.shape[1]
-        offsets = np.stack(
-            np.meshgrid(*([np.arange(-1, 2)] * d), indexing="ij"), axis=-1
-        ).reshape(-1, d)
-        # half-neighborhood: strictly positive lexicographic offsets,
-        # so each cell pair is visited once
-        half = [tuple(o) for o in offsets if tuple(o) > tuple([0] * d)]
-
-        best = None
-        for c, rows in buckets.items():
-            rows = np.asarray(rows, dtype=np.int64)
-            if len(rows) > 1:
-                ii, jj = np.triu_indices(len(rows), k=1)
-                best = _lex_min(best, cls._best_of(
-                    pts, gids, rows[ii], rows[jj], cutoff))
-            for off in half:
-                other = buckets.get(tuple(np.add(c, off)))
-                if other is None:
-                    continue
-                other = np.asarray(other, dtype=np.int64)
-                ii = np.repeat(rows, len(other))
-                jj = np.tile(other, len(rows))
-                best = _lex_min(best, cls._best_of(pts, gids, ii, jj, cutoff))
-        return best, w
+    @classmethod
+    def _best_within(cls, pts, gids, grid: Grid, rows, cutoff):
+        """Lex-min pair ``(row, other)`` with d2 <= cutoff over ``rows``."""
+        hits, offs = grid.balls(pts, pts[rows], cutoff)
+        src = np.repeat(rows, np.diff(offs))
+        other = src != hits
+        return cls._best_of(pts, gids, src[other], hits[other], cutoff)
 
     @staticmethod
     def _best_of(pts, gids, rows_a, rows_b, cutoff):
@@ -160,19 +144,8 @@ class ClosestPairView(MaterializedView):
     # state (re)build
     # ------------------------------------------------------------------
     def _rebuild(self, mirror: Mirror) -> None:
-        rows = mirror.live_rows()
-        self.answer, self.w = self._canonical(
-            mirror.pts[rows], mirror.gids[rows]
-        )
-        self._cells = {}
-        self._index_rows(mirror, rows)
-
-    def _index_rows(self, mirror: Mirror, rows) -> None:
-        if len(rows) == 0:
-            return
-        cells = self._cells_of(mirror.pts[rows], self.w)
-        for r, c in zip(rows, map(tuple, cells)):
-            self._cells.setdefault(c, []).append(int(r))
+        self.answer, self.grid = self._canonical(
+            mirror.pts, mirror.gids, mirror.live_rows())
 
     # ------------------------------------------------------------------
     # incremental maintenance
@@ -187,32 +160,10 @@ class ClosestPairView(MaterializedView):
             self._rebuild(mirror)
             return
         self.note_repair()
-        self._index_rows(mirror, rows)
-        d = mirror.dim
-        offsets = np.stack(
-            np.meshgrid(*([np.arange(-1, 2)] * d), indexing="ij"), axis=-1
-        ).reshape(-1, d)
-        cells = self._cells_of(mirror.pts[rows], self.w)
-        best = self.answer
-        cutoff = best[0]
-        for r, c in zip(rows, cells):
-            cand = []
-            for off in offsets:
-                got = self._cells.get(tuple(c + off))
-                if got:
-                    cand.extend(got)
-            cand = np.asarray(cand, dtype=np.int64)
-            cand = cand[mirror.alive[cand] & (cand != r)]
-            if len(cand) == 0:
-                continue
-            here = np.full(len(cand), r, dtype=np.int64)
-            # <= cutoff keeps ties, which may be lexicographically smaller
-            got = self._best_of(mirror.pts, mirror.gids, here, cand, cutoff)
-            new = _lex_min(best, got)
-            if new is not best:
-                best = new
-                cutoff = best[0]
-        self.answer = best
+        # the grid already holds the batch; <= cutoff keeps ties, which
+        # may be lexicographically smaller
+        self.answer = _lex_min(self.answer, self._best_within(
+            mirror.pts, mirror.gids, self.grid, rows, self.answer[0]))
 
     def _repair_erase(self, mirror: Mirror, rows: np.ndarray) -> None:
         if mirror.n_live() < 2:

@@ -8,7 +8,13 @@ growing union-find space for core rows (merging reuses the repo's
 point :func:`repro.clustering.dbscan.dbscan` lets a border point adopt
 its label from.
 
-A batch only re-examines points whose eps-neighborhood changed:
+Every neighborhood comes from the view's :class:`~repro.views.base.Grid`
+(cell width eps * (1 + 1/1024)), which the view's apply calls keep
+current in place, batch by batch.  Each repair step asks one batched
+closed-ball query and gets flat ``(rows, offsets)`` arrays back; neighbor
+counts, core flips, component edges and anchors are all computed from
+those arrays, with no per-row Python loop.  A batch only re-examines
+points whose eps-neighborhood changed:
 
 * **insert** — ball queries centered at the inserted points update the
   neighbor counts of exactly the rows inside those balls; rows whose
@@ -21,15 +27,17 @@ A batch only re-examines points whose eps-neighborhood changed:
   from fresh singletons, while every unbroken component is provably
   intact (its members and pairwise distances are untouched).
 
-Labels are derived on demand in canonical form — components numbered
-by first appearance scanning rows in ascending gid order, borders
-adopting their anchor's label — which is exactly the numbering
-``dbscan()`` produces on the gid-sorted live set, so the view answer is
-identical to the from-scratch reference :meth:`DBSCANView.compute`.
+The answer is built on read, at most once per version: a mutation only
+drops the previous tuple.  Labels come out in canonical form —
+components numbered by first appearance scanning rows in ascending gid
+order, borders adopting their anchor's label — which is exactly the
+numbering ``dbscan()`` produces on the gid-sorted live set, so the view
+answer is identical to the from-scratch reference
+:meth:`DBSCANView.compute`.
 
-Ball membership uses ``d2 <= eps**2`` with the same row-reduction the
-kd-tree range search evaluates, so brute repair queries and the tree
-queries the reference runs agree point-for-point.
+Ball membership is ``pairs_d2 <= eps**2``; in 2D that is bitwise the
+einsum the kd-tree range search evaluates, so grid repair queries and
+the tree queries the reference runs agree point-for-point.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import numpy as np
 from ..clustering.dbscan import dbscan
 from ..emst.unionfind import UnionFind
 from ..parlay.workdepth import charge
-from .base import MaterializedView, Mirror, pairs_d2
+from .base import Grid, MaterializedView, Mirror
 
 __all__ = ["DBSCANView"]
 
@@ -61,6 +69,18 @@ class DBSCANView(MaterializedView):
         self._anchor = np.full(0, -1, dtype=np.int64)  # min-gid core nb row
         self._uf = UnionFind(0)
         self._uf_used = 0
+        self._mirror: Mirror | None = None
+        self._answer: tuple | None = None  # this version's tuple, once read
+        #: canonical tuples built so far (at most one per version)
+        self.answer_builds = 0
+
+    @property
+    def answer(self) -> tuple | None:
+        """``(gids, labels)`` at ``version``, built on its first read."""
+        if self._answer is None and self._mirror is not None:
+            self._answer = self._derive_answer()
+            self.answer_builds += 1
+        return self._answer
 
     # ------------------------------------------------------------------
     # canonical from-scratch reference
@@ -95,87 +115,27 @@ class DBSCANView(MaterializedView):
         self._anchor = np.concatenate(
             [self._anchor, np.full(add, -1, dtype=np.int64)])
 
-    def _fresh_slot(self) -> int:
-        if self._uf_used == len(self._uf.parent):
-            cap = max(16, 2 * len(self._uf.parent))
+    def _fresh_slots(self, k: int) -> np.ndarray:
+        need = self._uf_used + k
+        if need > len(self._uf.parent):
+            cap = max(16, 2 * len(self._uf.parent), need)
             nxt = UnionFind(cap)
             nxt.parent[: self._uf_used] = self._uf.parent[: self._uf_used]
             nxt.rank[: self._uf_used] = self._uf.rank[: self._uf_used]
             self._uf = nxt
-        slot = self._uf_used
-        self._uf_used += 1
-        return slot
+        slots = np.arange(self._uf_used, need, dtype=np.int64)
+        self._uf_used = need
+        return slots
 
-    def _balls(self, mirror: Mirror, centers: np.ndarray) -> list[np.ndarray]:
-        """Live rows within eps of each center (closed ball, exact).
+    def _balls(self, mirror: Mirror, rows: np.ndarray):
+        """Closed eps-balls of ``rows`` as edges ``(src, dst, counts)``.
 
-        A uniform grid with cell width *strictly* greater than eps
-        narrows each query to the 3^d cell neighborhood of its center
-        — a superset filter only; membership is still decided by the
-        exact ``d2 <= eps**2`` predicate, so answers are bitwise
-        identical to the brute scan.  The 1/1024 width margin keeps the
-        "within eps implies adjacent cells" guarantee sound under the
-        float division's rounding for any |coordinate/eps| < 1e12;
-        outside that (or when 3^d lookups would rival a linear scan)
-        the brute path runs instead.
+        ``dst`` lists each ball's live rows (ascending), ``src`` the
+        center row of each entry, ``counts`` each ball's size.
         """
-        rows = mirror.live_rows()
-        centers = np.asarray(centers, dtype=np.float64)
-        if len(rows) == 0 or len(centers) == 0:
-            return [rows[:0]] * len(centers)
-        pts = mirror.pts[rows]
-        dim = pts.shape[1]
-        w = self.eps * (1.0 + 1.0 / 1024.0)
-        u = pts / w if w > 0 else None
-        cu = centers / w if w > 0 else None
-        if (
-            u is None or not np.isfinite(w)
-            or 3 ** dim >= max(len(rows), 2)
-            or (len(u) and np.abs(u).max() >= 1e12)
-            or (len(cu) and np.abs(cu).max() >= 1e12)
-        ):
-            charge(len(centers) * len(rows))
-            out = []
-            for c in centers:
-                d2 = pairs_d2(pts, c.reshape(1, -1))
-                out.append(rows[d2 <= self._eps2])
-            return out
-        cells = np.floor(u).astype(np.int64)
-        order = np.lexsort(cells.T[::-1])
-        sc = cells[order]
-        change = np.any(sc[1:] != sc[:-1], axis=1)
-        starts = np.concatenate([[0], np.flatnonzero(change) + 1])
-        ends = np.concatenate([starts[1:], [len(sc)]])
-        buckets = {
-            tuple(sc[s].tolist()): order[s:e]
-            for s, e in zip(starts, ends)
-        }
-        offsets = np.stack(
-            np.meshgrid(*([np.arange(-1, 2)] * dim), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, dim)
-        ccells = np.floor(cu).astype(np.int64)
-        out = []
-        for c, cc in zip(centers, ccells):
-            cand: list = []
-            for off in offsets:
-                b = buckets.get(tuple((cc + off).tolist()))
-                if b is not None:
-                    cand.append(b)
-            if not cand:
-                out.append(rows[:0])
-                continue
-            idx = np.sort(np.concatenate(cand))
-            charge(len(idx))
-            d2 = pairs_d2(pts[idx], c.reshape(1, -1))
-            out.append(rows[idx[d2 <= self._eps2]])
-        return out
-
-    def _union_with_core_neighbors(self, r: int, nb_rows: np.ndarray) -> None:
-        charge(max(len(nb_rows), 1))
-        me = int(self._comp[r])
-        for j in nb_rows[self._core[nb_rows]]:
-            self._uf.union(me, int(self._comp[j]))
+        hits, offs = self.grid.balls(mirror.pts, mirror.pts[rows], self._eps2)
+        counts = np.diff(offs)
+        return np.repeat(rows, counts), hits, counts
 
     def _roots(self, slots: np.ndarray) -> np.ndarray:
         """Vectorized union-find roots (no path compression)."""
@@ -187,29 +147,40 @@ class DBSCANView(MaterializedView):
                 return r
             r = pr
 
-    def _recluster(self, rows: np.ndarray, nbs: list) -> None:
+    def _union(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Union the components of every core-core ball edge."""
+        charge(max(len(src), 1))
+        e = self._core[dst]
+        a = self._roots(self._comp[src[e]])
+        b = self._roots(self._comp[dst[e]])
+        diff = a != b
+        if not diff.any():
+            return
+        # one union call per distinct pair of components, not per edge
+        key = np.unique(a[diff] * self._uf_used + b[diff])
+        for x, y in zip((key // self._uf_used).tolist(),
+                        (key % self._uf_used).tolist()):
+            self._uf.union(x, y)
+
+    def _recluster(self, rows: np.ndarray, src: np.ndarray,
+                   dst: np.ndarray) -> None:
         """Fresh components for an edge-closed set of core ``rows``.
 
         ``rows`` must contain every core reachable from any of its
         members (true for all broken components together, and for the
-        full core set on rebuild), so the core-core edges inside the
-        given balls describe the whole subgraph.  Connected components
-        come from vectorized min-label propagation with pointer
-        jumping — O(edges * log diameter) array work instead of one
-        Python-level union call per edge.
+        full core set on rebuild), and ``src``/``dst`` hold the ball
+        edges of at least every member, so the core-core edges among
+        them describe the whole subgraph.  Connected components
+        come from vectorized min-label propagation with pointer jumping
+        — O(edges * log diameter) array work.
         """
         m = len(rows)
         if m == 0:
             return
+        e = self._core[src] & self._core[dst]
         pos = np.full(len(self._comp), -1, dtype=np.int64)
         pos[rows] = np.arange(m)
-        ei, ej = [], []
-        for i, (r, nb) in enumerate(zip(rows, nbs)):
-            cores = nb[self._core[nb]]
-            ei.append(np.full(len(cores), i, dtype=np.int64))
-            ej.append(pos[cores])
-        ei = np.concatenate(ei) if ei else np.empty(0, dtype=np.int64)
-        ej = np.concatenate(ej) if ej else np.empty(0, dtype=np.int64)
+        ei, ej = pos[src[e]], pos[dst[e]]
         charge(len(ei) + m)
         labels = np.arange(m)
         while True:
@@ -222,47 +193,53 @@ class DBSCANView(MaterializedView):
                 break
             labels = new
         uniq, inverse = np.unique(labels, return_inverse=True)
-        slots = np.array([self._fresh_slot() for _ in uniq], dtype=np.int64)
-        self._comp[rows] = slots[inverse]
+        self._comp[rows] = self._fresh_slots(len(uniq))[inverse]
 
-    def _reanchor(self, r: int, nb_rows: np.ndarray, mirror: Mirror) -> None:
-        """Anchor = row of the min-gid core neighbor (or -1)."""
-        cores = nb_rows[self._core[nb_rows] & (nb_rows != r)]
-        if len(cores) == 0:
-            self._anchor[r] = -1
-        else:
-            self._anchor[r] = int(cores[np.argmin(mirror.gids[cores])])
+    def _reanchor(self, rows: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                  gids: np.ndarray) -> None:
+        """Anchor of each non-core row in ``rows`` := the row of its
+        min-gid core neighbor (or -1); ``src``/``dst`` hold their balls."""
+        self._anchor[rows] = -1
+        e = ~self._core[src] & self._core[dst]
+        s, d = src[e], dst[e]
+        if len(s) == 0:
+            return
+        # stable: among equal gids the lowest row wins, as in argmin
+        order = np.lexsort((gids[d], s))
+        s, d = s[order], d[order]
+        first = np.ones(len(s), dtype=bool)
+        first[1:] = s[1:] != s[:-1]
+        self._anchor[s[first]] = d[first]
 
     # ------------------------------------------------------------------
-    # answer derivation (shared by every maintenance path)
+    # the answer, built on read
     # ------------------------------------------------------------------
-    def _derive_answer(self, mirror: Mirror) -> None:
+    def _derive_answer(self) -> tuple:
+        mirror = self._mirror
         rows = mirror.live_rows()
-        order = np.argsort(mirror.gids[rows])
-        rows = rows[order]
+        rows = rows[np.argsort(mirror.gids[rows])]
         charge(max(len(rows), 1))
         labels = np.full(len(rows), -1, dtype=np.int64)
-        by_row: dict[int, int] = {}
-        numbering: dict[int, int] = {}
-        for pos, r in enumerate(rows):
-            if self._core[r]:
-                root = self._uf.find(int(self._comp[r]))
-                if root not in numbering:
-                    numbering[root] = len(numbering)
-                labels[pos] = numbering[root]
-                by_row[int(r)] = labels[pos]
-        for pos, r in enumerate(rows):
-            if not self._core[r] and self._anchor[r] >= 0:
-                labels[pos] = by_row[int(self._anchor[r])]
-        self.answer = (
-            tuple(int(g) for g in mirror.gids[rows]),
-            tuple(int(v) for v in labels),
-        )
+        core = self._core[rows]
+        if core.any():
+            # components numbered by first appearance in gid order
+            roots = self._roots(self._comp[rows[core]])
+            _, first, inv = np.unique(
+                roots, return_index=True, return_inverse=True)
+            rank = np.empty(len(first), dtype=np.int64)
+            rank[np.argsort(first)] = np.arange(len(first))
+            labels[core] = rank[inv]
+            by_row = np.full(len(self._core), -1, dtype=np.int64)
+            by_row[rows[core]] = labels[core]
+            a = self._anchor[rows[~core]]
+            labels[~core] = np.where(a >= 0, by_row[a], -1)
+        return (tuple(mirror.gids[rows].tolist()), tuple(labels.tolist()))
 
     # ------------------------------------------------------------------
     # state (re)build
     # ------------------------------------------------------------------
     def _rebuild(self, mirror: Mirror) -> None:
+        self._mirror, self._answer = mirror, None
         self._grow(len(mirror.gids))
         self._core[:] = False
         self._comp[:] = -1
@@ -270,134 +247,106 @@ class DBSCANView(MaterializedView):
         self._uf = UnionFind(0)
         self._uf_used = 0
         rows = mirror.live_rows()
-        if len(rows) == 0:
-            self._derive_answer(mirror)
-            return
-        nbs = self._balls(mirror, mirror.pts[rows])
-        for r, nb in zip(rows, nbs):
-            self._ncount[r] = len(nb)
-            self._core[r] = len(nb) >= self.min_pts
-        core_mask = self._core[rows]
-        self._recluster(rows[core_mask], [
-            nb for nb, c in zip(nbs, core_mask) if c])
-        for r, nb in zip(rows, nbs):
-            if not self._core[r]:
-                self._reanchor(int(r), nb, mirror)
-        self._derive_answer(mirror)
+        self.grid = Grid(self.eps * (1.0 + 1.0 / 1024.0), mirror.dim)
+        self.grid.insert(mirror.pts, rows)
+        src, dst, counts = self._balls(mirror, rows)
+        self._ncount[rows] = counts
+        self._core[rows] = counts >= self.min_pts
+        self._recluster(rows[self._core[rows]], src, dst)
+        self._reanchor(rows[~self._core[rows]], src, dst, mirror.gids)
 
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
     def _repair_insert(self, mirror: Mirror, rows: np.ndarray) -> None:
         self.note_repair()
+        self._mirror, self._answer = mirror, None
         self._grow(len(mirror.gids))
-        nbs = self._balls(mirror, mirror.pts[rows])
+        src, dst, counts = self._balls(mirror, rows)
 
         # 1. neighbor counts: each inserted point adds one to every row
         #    inside its ball; inserted rows take their full ball size
-        add = np.zeros(len(mirror.gids), dtype=np.int64)
-        for nb in nbs:
-            add[nb] += 1
-        was_core = self._core.copy()
-        touched = np.flatnonzero(add)
-        old_touched = np.setdiff1d(touched, rows, assume_unique=False)
-        self._ncount[old_touched] += add[old_touched]
-        for r, nb in zip(rows, nbs):
-            self._ncount[r] = len(nb)
+        touched, add = np.unique(dst, return_counts=True)
+        old = ~np.isin(touched, rows)
+        old_touched = touched[old]
+        self._ncount[old_touched] += add[old]
+        self._ncount[rows] = counts
 
         # 2. core flips (insert only raises counts: flips are on-only)
+        was_core = self._core[old_touched]
         self._core[touched] = self._ncount[touched] >= self.min_pts
-        flip_on = old_touched[
-            ~was_core[old_touched] & self._core[old_touched]]
+        flip_on = old_touched[~was_core & self._core[old_touched]]
 
         # 3. components: fresh singletons for new cores, then union with
         #    every core neighbor; old edges all survive untouched
         new_cores = np.concatenate([rows[self._core[rows]], flip_on])
-        for r in new_cores:
-            self._comp[r] = self._fresh_slot()
-        flip_nbs = self._balls(mirror, mirror.pts[flip_on])
-        nb_of = {int(r): nb for r, nb in zip(rows, nbs)}
-        nb_of.update({int(r): nb for r, nb in zip(flip_on, flip_nbs)})
-        for r in new_cores:
-            self._union_with_core_neighbors(int(r), nb_of[int(r)])
+        self._comp[new_cores] = self._fresh_slots(len(new_cores))
+        fsrc, fdst, _ = self._balls(mirror, flip_on)
+        ins = self._core[src]
+        esrc = np.concatenate([src[ins], fsrc])
+        edst = np.concatenate([dst[ins], fdst])
+        self._union(esrc, edst)
 
         # 4. anchors: a border row's min-gid core neighbor can only
         #    change through a member of new_cores entering its ball
-        for r in new_cores:
-            self._anchor[r] = -1
-        gained: dict[int, int] = {}
-        for c in new_cores:
-            for r in nb_of[int(c)]:
-                r = int(r)
-                if r == int(c) or self._core[r]:
-                    continue
-                g = int(mirror.gids[c])
-                if r not in gained or g < gained[r][0]:
-                    gained[r] = (g, int(c))
-        for r, (g, c) in gained.items():
-            cur = self._anchor[r]
-            if cur < 0 or g < mirror.gids[cur]:
-                self._anchor[r] = c
+        self._anchor[new_cores] = -1
+        e = ~self._core[edst]
+        c, b = esrc[e], edst[e]
+        if len(b):
+            g = mirror.gids[c]
+            order = np.lexsort((g, b))
+            c, b, g = c[order], b[order], g[order]
+            first = np.ones(len(b), dtype=bool)
+            first[1:] = b[1:] != b[:-1]
+            c, b, g = c[first], b[first], g[first]
+            cur = self._anchor[b]
+            better = (cur < 0) | (g < mirror.gids[np.maximum(cur, 0)])
+            self._anchor[b[better]] = c[better]
         # inserted non-core rows need a full scan of their own ball
-        for r, nb in zip(rows, nbs):
-            if not self._core[r]:
-                self._reanchor(int(r), nb, mirror)
-        self._derive_answer(mirror)
+        self._reanchor(rows[~self._core[rows]], src, dst, mirror.gids)
 
     def _repair_erase(self, mirror: Mirror, rows: np.ndarray) -> None:
         self.note_repair()
-        was_core = self._core.copy()
-        nbs = self._balls(mirror, mirror.pts[rows])  # post-update live set
+        self._mirror, self._answer = mirror, None
+        src, dst, _ = self._balls(mirror, rows)  # post-update live set
 
         # 1. broken components: any component that lost a core member,
         #    found before counts move the flips
-        broken = set()
-        for r in rows:
-            if was_core[r]:
-                broken.add(self._uf.find(int(self._comp[r])))
+        broken = [self._roots(self._comp[rows[self._core[rows]]])]
 
         # 2. neighbor counts drop by the killed multiplicity
-        sub = np.zeros(len(mirror.gids), dtype=np.int64)
-        for nb in nbs:
-            sub[nb] += 1
-        touched = np.flatnonzero(sub)
-        self._ncount[touched] -= sub[touched]
+        touched, sub = np.unique(dst, return_counts=True)
+        self._ncount[touched] -= sub
 
         # 3. core flips (erase only lowers counts: flips are off-only)
+        was_core = self._core[touched]
         self._core[touched] = self._ncount[touched] >= self.min_pts
-        flip_off = touched[was_core[touched] & ~self._core[touched]]
-        for r in flip_off:
-            broken.add(self._uf.find(int(self._comp[r])))
-            self._comp[r] = -1
+        flip_off = touched[was_core & ~self._core[touched]]
+        broken.append(self._roots(self._comp[flip_off]))
+        broken = np.unique(np.concatenate(broken))
+        self._comp[flip_off] = -1
         self._core[rows] = False
         self._comp[rows] = -1
 
         # 4. re-cluster the surviving cores of broken components from
         #    fresh singletons; unbroken components kept no secrets —
         #    same members, same distances — and carry over as-is
-        live_cores = mirror.live_rows()
-        live_cores = live_cores[self._core[live_cores]]
-        if broken and len(live_cores):
-            roots = self._roots(self._comp[live_cores])
+        if len(broken):
+            live_cores = np.flatnonzero(self._comp >= 0)
             affected = live_cores[np.isin(
-                roots, np.fromiter(broken, dtype=np.int64))]
-        else:
-            affected = live_cores[:0]
-        aff_nbs = self._balls(mirror, mirror.pts[affected])
-        self._recluster(affected, aff_nbs)
+                self._roots(self._comp[live_cores]), broken)]
+            asrc, adst, _ = self._balls(mirror, affected)
+            self._recluster(affected, asrc, adst)
 
         # 5. anchors: stale only where the anchor itself died or
-        #    un-cored; flipped-off rows become borders and need their own
-        dead_mask = np.zeros(len(self._comp), dtype=bool)
-        dead_mask[rows] = True
-        dead_mask[flip_off] = True
-        live = mirror.live_rows()
-        borders = live[~self._core[live]]
-        a = self._anchor[borders]
-        stale = borders[(a >= 0) & dead_mask[a]]
-        need = np.unique(np.concatenate([flip_off, stale]))
-        need = need[mirror.alive[need]]
-        need_nbs = self._balls(mirror, mirror.pts[need])
-        for r, nb in zip(need, need_nbs):
-            self._reanchor(int(r), nb, mirror)
-        self._derive_answer(mirror)
+        #    un-cored — both within eps of the border, so inside the
+        #    balls of the killed and flipped-off rows; flipped-off rows
+        #    become borders and need their own
+        _, fdst, _ = self._balls(mirror, flip_off)
+        near = np.unique(np.concatenate([dst, fdst]))
+        a = self._anchor[near]
+        gone = np.concatenate([rows, flip_off])
+        stale = near[~self._core[near] & (a >= 0) & np.isin(a, gone)]
+        need = np.union1d(flip_off, stale)
+        nsrc, ndst, _ = self._balls(mirror, need)
+        self._reanchor(need, nsrc, ndst, mirror.gids)

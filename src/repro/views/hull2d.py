@@ -1,12 +1,12 @@
 """Incrementally maintained 2D convex hull view.
 
-Insertion rides the repo's reservation-based randomized incremental
-hull (:func:`repro.hull.incremental2d.randinc_hull2d`): because a point
+Insertion needs no hull algorithm over the live set: because a point
 inside the convex hull of the others can never become extreme again —
 the hull only grows outward under insertion — the candidate set for the
 new hull is exactly ``old hull vertices ∪ inserted batch``, so each
-repair runs the incremental algorithm over a hull-sized input instead
-of the whole live set.  Deletion of a hull coordinate triggers a
+repair runs the normalizing monotone chain over that hull-sized,
+lex-sorted candidate set, which yields the canonical strict hull
+directly.  Deletion of a hull coordinate triggers a
 counted *filtered rebuild* (recompute over the surviving mirror);
 deleting interior coordinates is free — Carathéodory: every non-vertex
 lies in the convex hull of the vertex set alone, so removing non-vertex
@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..hull.filter import at_filter
-from ..hull.incremental2d import randinc_hull2d
 from ..parlay.workdepth import charge
 from .base import MaterializedView, Mirror
 
@@ -127,16 +126,7 @@ class HullView(MaterializedView):
         self.note_repair()
         cand_pts = np.vstack([self._hull_pts, mirror.pts[rows]])
         cand_gids = np.concatenate([self._hull_gids, mirror.gids[rows]])
-        p, g = _dedup_lex(cand_pts, cand_gids)
-        if len(p) >= 3:
-            try:
-                idx, _stats = randinc_hull2d(p)
-            except ValueError:
-                # all candidates collinear: monotone chain handles it
-                idx = np.arange(len(p), dtype=np.int64)
-            idx = np.sort(idx)  # keep lex order for the normalizing chain
-            p, g = p[idx], g[idx]
-        self._set_answer(p, g)
+        self._set_answer(*_dedup_lex(cand_pts, cand_gids))
 
     def _repair_erase(self, mirror: Mirror, rows: np.ndarray) -> None:
         if len(self._hull_pts):

@@ -11,7 +11,10 @@ Answers are version-keyed and never stale: :meth:`get` returns
 ``(answer, version)`` where ``version`` is the index version the answer
 was maintained to, and if the index was mutated *behind the manager's
 back* (version drift detected on read), the manager resynchronizes —
-a counted full recompute of every view — before answering.
+a counted full recompute of every view — before answering.  A view may
+build its answer on read (DBSCAN does), so that cost lands in
+:meth:`get` or in a subscriber event, never in a mutation nobody
+reads.
 
 Subscribers registered with :meth:`subscribe` receive one event per
 effective batch (op, batch size, new version, and every view's fresh

@@ -29,13 +29,17 @@ from repro.serve import (
     synthetic_trace,
     validate_trace,
 )
+from repro.parlay.workdepth import capture
 from repro.views import (
     ClosestPairView,
     DBSCANView,
+    Grid,
     HullView,
     Mirror,
     ViewManager,
+    pairs_d2,
 )
+from repro.views.base import _BALL_CHUNK
 
 
 def _pts(n=80, d=2, seed=0):
@@ -108,6 +112,33 @@ class TestCanonicalEquality:
                 assert got == want, f"{name} diverged after {op}"
                 assert ver == int(idx.version)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.sampled_from(["ins", "del"]), st.booleans()),
+                 min_size=1, max_size=12),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_reads_that_skip_versions_match_recompute(self, seed, ops):
+        # answers built on read must not depend on which earlier
+        # versions were read: unread versions build nothing, and the
+        # first read after several batches still equals compute()
+        rng = np.random.default_rng(seed)
+        idx, mgr = _managed(_grid(rng, 12, 2))
+        for op, read in ops:
+            if op == "ins":
+                mgr.insert(_grid(rng, int(rng.integers(1, 5)), 2))
+            else:
+                live, _ = idx.gather_points()
+                if len(live):
+                    take = rng.choice(
+                        len(live), size=min(3, len(live)), replace=False)
+                    mgr.erase(live[take])
+            if read:
+                for name, want in _expected(idx, mgr).items():
+                    assert mgr.get(name) == (want, int(idx.version))
+        for name, want in _expected(idx, mgr).items():
+            assert mgr.get(name) == (want, int(idx.version))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_float_coordinates_and_3d(self, seed):
@@ -155,6 +186,164 @@ class TestCanonicalEquality:
         assert mgr.get("closest_pair")[0] is None  # still < 2 points
         gid = int(idx.gather_points()[1][0])
         assert mgr.get("hull2d")[0] == (gid,)
+
+
+# ---------------------------------------------------------------------------
+# the shared grid: batched ball queries equal the brute scan, bitwise
+# ---------------------------------------------------------------------------
+def _brute_balls(pts, held, centers, r2):
+    held = np.sort(np.asarray(held, dtype=np.int64))
+    parts = [held[pairs_d2(pts[held], c.reshape(1, -1)) <= r2]
+             for c in centers]
+    offs = np.zeros(len(centers) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in parts], out=offs[1:])
+    rows = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return rows, offs
+
+
+def _assert_balls(grid, pts, held, centers, r2):
+    rows, offs = grid.balls(pts, centers, r2)
+    want_rows, want_offs = _brute_balls(pts, held, centers, r2)
+    assert offs.dtype == rows.dtype == np.int64
+    assert np.array_equal(offs, want_offs)
+    assert np.array_equal(rows, want_rows)
+
+
+class TestGrid:
+    R = 1.5
+    W = R * (1.0 + 1.0 / 1024.0)
+
+    def _grid(self, pts, rows):
+        g = Grid(self.W, pts.shape[1])
+        g.insert(pts, rows)
+        return g
+
+    def test_empty_grid_and_no_centers(self):
+        pts = _pts(20)
+        g = Grid(self.W, 2)
+        rows, offs = g.balls(pts, pts[:5], self.R ** 2)
+        assert len(rows) == 0 and np.array_equal(offs, np.zeros(6))
+        g.insert(pts, np.arange(20))
+        rows, offs = g.balls(pts, pts[:0], self.R ** 2)
+        assert len(rows) == 0 and np.array_equal(offs, [0])
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+    @settings(max_examples=25, deadline=None)
+    def test_duplicates_and_dims_match_brute(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        # integer coordinates: duplicates and exact ties at the radius
+        pts = rng.integers(0, 6, (int(rng.integers(1, 80)), dim)).astype(
+            np.float64)
+        held = np.arange(len(pts))
+        g = self._grid(pts, held)
+        assert len(g) == len(pts)
+        centers = np.vstack([pts[:7], rng.uniform(-1.0, 7.0, (5, dim))])
+        for r in (0.0, 1.0, self.R):
+            _assert_balls(g, pts, held, centers, r * r)
+
+    @pytest.mark.parametrize("m", [_BALL_CHUNK - 1, _BALL_CHUNK,
+                                   _BALL_CHUNK + 1, 2 * _BALL_CHUNK + 1])
+    def test_center_counts_around_the_chunk_size(self, m):
+        rng = np.random.default_rng(m)
+        pts = rng.uniform(0.0, 12.0, (400, 2))
+        held = np.arange(len(pts))
+        g = self._grid(pts, held)
+        centers = np.vstack([pts[: m // 2], rng.uniform(0.0, 12.0,
+                                                        (m - m // 2, 2))])
+        _assert_balls(g, pts, held, centers, self.R ** 2)
+
+    def test_coordinates_beyond_the_trusted_range_scan_every_row(self):
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(0.0, 10.0, (60, 2))
+        pts[:3] = [[2e12 * self.W, 0.0], [2e12 * self.W, 1.0], [0.0, -3e12 * self.W]]
+        held = np.arange(len(pts))
+        g = self._grid(pts, held)
+        assert np.array_equal(g.far, [0, 1, 2])
+        assert np.array_equal(g.rows(), held)
+        centers = np.vstack([pts[:4], rng.uniform(0.0, 10.0, (6, 2))])
+        with capture(absorb=False) as c:
+            _assert_balls(g, pts, held, centers, self.R ** 2)
+        # the brute path charges every (center, row) pair
+        assert c.work >= len(centers) * len(held)
+        # with the far rows gone, a far *center* still takes the brute
+        # path, and near centers alone go back to the cells
+        g.erase(pts, np.array([0, 1, 2]))
+        assert len(g.far) == 0 and len(g) == len(pts) - 3
+        with capture(absorb=False) as c:
+            _assert_balls(g, pts, held[3:], centers, self.R ** 2)
+        assert c.work >= len(centers) * len(held[3:])
+        with capture(absorb=False) as c:
+            _assert_balls(g, pts, held[3:], centers[4:], self.R ** 2)
+        assert c.work < len(centers[4:]) * len(held[3:])
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_maintained_grid_under_a_stream_of_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = np.floor(rng.uniform(0.0, 8.0, (300, 2)) * 2) / 2
+        g = Grid(self.W, 2)
+        live = np.zeros(len(pts), dtype=bool)
+        nxt = 0
+        for _ in range(12):
+            if nxt < len(pts) and (rng.random() < 0.6 or not live.any()):
+                add = np.arange(nxt, min(nxt + int(rng.integers(1, 30)),
+                                         len(pts)))
+                g.insert(pts, add)
+                live[add] = True
+                nxt = add[-1] + 1
+            else:
+                on = np.flatnonzero(live)
+                gone = rng.choice(on, size=min(len(on), 9), replace=False)
+                g.erase(pts, gone)
+                live[gone] = False
+            held = np.flatnonzero(live)
+            assert len(g) == len(held)
+            assert np.array_equal(g.rows(), held)
+            _assert_balls(g, pts, held, pts[rng.integers(0, len(pts), 20)],
+                          self.R ** 2)
+
+
+# ---------------------------------------------------------------------------
+# repair cost scales with the batch, not the index
+# ---------------------------------------------------------------------------
+def _blobs(n, seed=0, density=1.0, k=6, sigma=0.05):
+    # blob layout fixed by the seed, scaled so the point density inside
+    # the blobs does not depend on n
+    rng = np.random.default_rng(seed)
+    side = np.sqrt(n / density)
+    centers = rng.uniform(0.1 * side, 0.9 * side, (k, 2))
+
+    def sample(rng, m):
+        lab = rng.integers(k, size=m)
+        return centers[lab] + rng.standard_normal((m, 2)) * sigma * side
+
+    return sample
+
+
+class TestRepairScaling:
+    def _insert_work(self, n):
+        sample = _blobs(n)
+        mirror = Mirror(sample(np.random.default_rng(1), n), np.arange(n))
+        view = DBSCANView("dbscan", eps=1.0, min_pts=6)
+        view.rebuild(mirror, 0)
+        batch = sample(np.random.default_rng(2), 8)
+        rows = mirror.append(batch, np.arange(n, n + 8))
+        builds = view.answer_builds
+        with capture(absorb=False) as c:
+            view.apply_insert(mirror, rows, 1)
+        # an unread version builds no answer tuple ...
+        assert view.answer_builds == builds
+        first = view.answer
+        # ... and two reads of one version build it once
+        assert view.answer is first
+        assert view.answer_builds == builds + 1
+        assert first == DBSCANView.compute(
+            *mirror.live(), eps=view.eps, min_pts=view.min_pts)
+        return c.work
+
+    def test_dbscan_insert_work_does_not_grow_with_n(self):
+        w1, w4 = self._insert_work(1500), self._insert_work(6000)
+        assert w4 <= 1.5 * w1, (w1, w4)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +399,26 @@ class TestViewManager:
         _, mgr = _managed(_pts(10))
         with pytest.raises(ValueError, match="already registered"):
             mgr.closest_pair()
+
+    def test_closest_pair_grid_holds_exactly_the_live_rows(self):
+        rng = np.random.default_rng(12)
+        idx = BDLTree(2)
+        idx.insert(rng.uniform(0.0, 100.0, (2000, 2)))
+        mgr = ViewManager(idx)
+        view = mgr.closest_pair()
+        for _ in range(60):
+            mgr.insert(rng.uniform(0.0, 100.0, (8, 2)))
+            live, gids = idx.gather_points()
+            ends = np.isin(gids, view.answer[1:])
+            pick = rng.choice(np.flatnonzero(~ends), size=8, replace=False)
+            mgr.erase(live[pick])
+        # no endpoint died, so no recompute ever re-tightened the grid:
+        # erased rows left it in place
+        assert view.recomputes == 0
+        assert len(view.grid) == mgr.mirror.n_live() == 2000
+        assert np.array_equal(view.grid.rows(), mgr.mirror.live_rows())
+        live, gids = idx.gather_points()
+        assert view.answer == ClosestPairView.compute(live, gids)
 
     def test_mirror_matches_index_erase_semantics(self):
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
