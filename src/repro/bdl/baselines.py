@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import box_dist_sq, dist_sq
 from ..core.points import as_array
 from ..kdtree.knnbuffer import KNNBuffer
 from ..kdtree.tree import KDTree, OBJECT_MEDIAN, SPATIAL_MEDIAN
@@ -343,9 +344,7 @@ class InPlaceTree:
                 gids = node.bgids[: node.n][alive]
                 if len(pts):
                     charge(len(pts) * self.dim)
-                    diff = pts - p
-                    d2 = np.einsum("ij,ij->i", diff, diff)
-                    buf.insert_batch(d2, gids)
+                    buf.insert_batch(dist_sq(pts, p), gids)
             return
         first, second = (
             (node.left, node.right)
@@ -359,8 +358,7 @@ class InPlaceTree:
         if not buf.full():
             self._knn_one(second, p, buf)
             return
-        gap = np.maximum(second.lo - p, 0.0) + np.maximum(p - second.hi, 0.0)
-        if float(gap @ gap) < buf.bound:
+        if box_dist_sq(second.lo, second.hi, p, p) < buf.bound:
             self._knn_one(second, p, buf)
 
     def knn(self, queries, k: int, exclude_self: bool = False):

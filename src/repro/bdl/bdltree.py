@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.bbox import TouchedRegion, _touched
+from ..core.distance import dist_sq
 from ..core.points import as_array
 from ..kdtree.knn import knn_across
 from ..kdtree.range_search import range_query_ball_batch, range_query_batch
@@ -324,46 +325,11 @@ class BDLTree:
     # ------------------------------------------------------------------
     def range_query_box(self, lo, hi) -> np.ndarray:
         """Global ids of live points in the closed box [lo, hi]."""
-        from ..kdtree.range_search import range_query_box
-
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        parts = []
-        for t in self.trees:
-            if t is not None and t.size() > 0:
-                local = range_query_box(t, lo, hi)
-                if len(local):
-                    parts.append(t.gids[local])
-        if len(self.buf_pts):
-            charge(len(self.buf_pts))
-            mask = np.all((self.buf_pts >= lo) & (self.buf_pts <= hi), axis=1)
-            if mask.any():
-                parts.append(self.buf_gids[mask])
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        return self.range_query_box_batch([lo], [hi])[0]
 
     def range_query_ball(self, center, radius: float) -> np.ndarray:
         """Global ids of live points within ``radius`` of ``center``."""
-        from ..kdtree.range_search import range_query_ball
-
-        c = np.asarray(center, dtype=np.float64)
-        parts = []
-        for t in self.trees:
-            if t is not None and t.size() > 0:
-                local = range_query_ball(t, c, radius)
-                if len(local):
-                    parts.append(t.gids[local])
-        if len(self.buf_pts):
-            charge(len(self.buf_pts))
-            diff = self.buf_pts - c
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            mask = d2 <= float(radius) ** 2
-            if mask.any():
-                parts.append(self.buf_gids[mask])
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        return self.range_query_ball_batch([center], [radius])[0]
 
     # ------------------------------------------------------------------
     # batched range search (array-at-a-time across the log-structure)
@@ -371,10 +337,8 @@ class BDLTree:
     def range_query_box_batch(self, los, his) -> list[np.ndarray]:
         """Per-query global ids for a batch of box queries.
 
-        Each query's hits concatenate in the same order as the
-        single-query path (static trees in slot order, then the buffer
-        tree), so row ``i`` is bitwise-identical to
-        ``range_query_box(los[i], his[i])``.
+        Each query's hits concatenate static trees in slot order, then
+        the buffer tree.
         """
         los = np.asarray(los, dtype=np.float64)
         his = np.asarray(his, dtype=np.float64)
@@ -411,8 +375,7 @@ class BDLTree:
                         parts[i].append(t.gids[local])
         if len(self.buf_pts):
             charge(m * len(self.buf_pts))
-            diff = self.buf_pts[None, :, :] - cs[:, None, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
+            d2 = dist_sq(self.buf_pts[None, :, :], cs[:, None, :])
             inside = d2 <= np.square(rr)[:, None]
             for i in np.flatnonzero(inside.any(axis=1)):
                 parts[i].append(self.buf_gids[inside[i]])

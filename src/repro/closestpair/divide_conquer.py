@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import dist_sq
 from ..core.points import as_array
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge
@@ -28,8 +29,7 @@ def _brute(pts: np.ndarray, ids: np.ndarray) -> tuple[float, int, int]:
     best = (np.inf, -1, -1)
     sub = pts[ids]
     for i in range(m - 1):
-        diff = sub[i + 1 :] - sub[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2 = dist_sq(sub[i + 1 :], sub[i])
         j = int(np.argmin(d2))
         if d2[j] < best[0]:
             best = (float(d2[j]), int(ids[i]), int(ids[i + 1 + j]))
@@ -51,8 +51,7 @@ def _strip_scan(pts: np.ndarray, ids: np.ndarray, sort_dim: int, delta2: float) 
     for i in range(m - 1):
         j = i + 1
         while j < m and keys[j] - keys[i] < delta:
-            d = coords[j] - coords[i]
-            d2 = float(d @ d)
+            d2 = dist_sq(coords[j], coords[i])
             if d2 < best[0]:
                 best = (d2, int(order[i]), int(order[j]))
                 found = best

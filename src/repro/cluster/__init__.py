@@ -15,7 +15,7 @@ it against a monolithic tree.
 from .bench import compare_cluster, compare_procs
 from .index import ShardedIndex
 from .partitioner import HilbertPartitioner
-from .router import bbox_mindist2, merge_knn, plan_ball, plan_box
+from .router import merge_knn, plan_ball, plan_box
 from .shard import Shard
 from .snapshot import SnapshotManager, attach_snapshot, release_all_snapshots
 
@@ -25,7 +25,6 @@ __all__ = [
     "ShardedIndex",
     "SnapshotManager",
     "attach_snapshot",
-    "bbox_mindist2",
     "compare_cluster",
     "compare_procs",
     "merge_knn",

@@ -43,7 +43,7 @@ from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge
 from .partitioner import HilbertPartitioner
-from .router import bbox_mindist2, merge_knn, plan_ball, plan_box, scatter
+from .router import merge_knn, plan_ball, plan_box, scatter
 from .shard import Shard
 from .snapshot import SnapshotManager
 
@@ -289,7 +289,7 @@ class ShardedIndex:
             # d2 == r2 ties — so non-contributing shards prune near
             # their root instead of running a full search.
             lo, hi = self._boxes()
-            fan = bbox_mindist2(lo, hi, qs) <= r2[:, None]
+            fan = plan_ball(lo, hi, qs, r2)
             fan &= self._occupied()[None, :]
             fan[np.arange(m), home] = False
             cutoff = np.nextafter(r2, np.inf)

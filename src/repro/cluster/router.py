@@ -27,30 +27,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import box_dist_sq
 from ..obs.rtrace import current_trace_ids
 from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge
 
 __all__ = [
-    "bbox_mindist2",
     "merge_knn",
     "plan_ball",
     "plan_box",
     "scatter",
 ]
-
-
-def bbox_mindist2(lo: np.ndarray, hi: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """(m, S) squared distance from each query to each shard's box.
-
-    Empty shards carry the ``(+inf, -inf)`` sentinel box and come out
-    at infinite distance, so they are never fanned out to.
-    """
-    gap = np.maximum(lo[None, :, :] - queries[:, None, :], 0.0) + np.maximum(
-        queries[:, None, :] - hi[None, :, :], 0.0
-    )
-    return np.einsum("qsd,qsd->qs", gap, gap)
 
 
 def plan_box(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
@@ -62,8 +50,13 @@ def plan_box(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -
 
 
 def plan_ball(lo: np.ndarray, hi: np.ndarray, centers: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """(m, S) mask: does shard s's box intersect ball i (radius² r2)?"""
-    return bbox_mindist2(lo, hi, centers) <= r2[:, None]
+    """(m, S) mask: does shard s's box intersect ball i (radius² r2)?
+
+    Empty shards carry the ``(+inf, -inf)`` sentinel box, infinitely far
+    from every center, so a finite ball never plans them.
+    """
+    c = centers[:, None, :]
+    return box_dist_sq(lo[None, :, :], hi[None, :, :], c, c) <= r2[:, None]
 
 
 def scatter(

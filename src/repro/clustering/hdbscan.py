@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.distance import dist
 from ..core.points import as_array
 from ..emst.unionfind import UnionFind
 from ..kdtree.tree import KDTree
@@ -50,8 +51,7 @@ def mutual_reachability_mst(points, min_pts: int) -> tuple[np.ndarray, np.ndarra
     edges = np.empty((n - 1, 2), dtype=np.int64)
     weights = np.empty(n - 1)
     for step in range(n - 1):
-        diff = pts - pts[cur]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        d = dist(pts, pts[cur])
         mr = np.maximum(np.maximum(d, core), core[cur])
         better = (~in_tree) & (mr < best_d)
         best_d[better] = mr[better]

@@ -2,11 +2,13 @@
 
 from .bbox import BBox, bbox_of
 from .distance import (
+    box_dist_sq,
     cross_dists_sq,
     dist,
     dist_sq,
-    dists_sq_to_point,
+    far_dist_sq,
     pairwise_dists_sq,
+    sq_norm,
 )
 from .points import PointSet, as_array, as_points
 from .predicates import (
@@ -24,10 +26,11 @@ __all__ = [
     "as_array",
     "as_points",
     "bbox_of",
+    "box_dist_sq",
     "cross_dists_sq",
     "dist",
     "dist_sq",
-    "dists_sq_to_point",
+    "far_dist_sq",
     "incircle",
     "incircle_batch",
     "orient2d",
@@ -35,4 +38,5 @@ __all__ = [
     "orient3d",
     "orient3d_batch",
     "pairwise_dists_sq",
+    "sq_norm",
 ]

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distance import box_dist_sq, far_dist_sq
+
 __all__ = ["BBox", "TouchedRegion", "bbox_of"]
 
 
@@ -57,17 +59,11 @@ class BBox:
 
     def dist_sq_to_point(self, p: np.ndarray) -> float:
         """Squared distance from p to the box (0 if inside)."""
-        d = np.maximum(self.lo - p, 0.0) + np.maximum(p - self.hi, 0.0)
-        return float(d @ d)
+        return box_dist_sq(self.lo, self.hi, p, p)
 
     def max_dist_sq_to_point(self, p: np.ndarray) -> float:
         """Squared distance from p to the farthest corner of the box."""
-        d = np.maximum(np.abs(p - self.lo), np.abs(p - self.hi))
-        return float(d @ d)
-
-    def dist_sq_to_box(self, other: "BBox") -> float:
-        d = np.maximum(self.lo - other.hi, 0.0) + np.maximum(other.lo - self.hi, 0.0)
-        return float(d @ d)
+        return far_dist_sq(self.lo, self.hi, p)
 
     def within_ball(self, center: np.ndarray, r: float) -> bool:
         """True iff the whole box lies inside the ball (center, r)."""

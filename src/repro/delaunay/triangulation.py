@@ -28,7 +28,8 @@ class DelaunayTriangulation:
     ``triangles`` rows are ccw vertex-id triples; ``neighbors[t][e]`` is
     the triangle across edge e = (v[e], v[(e+1)%3]) of t, or -1.
     Vertex ids ``n..n+2`` are the bounding super-triangle (excluded from
-    results).
+    results).  A point given more than once is a vertex under the id of
+    its first copy only.
     """
 
     def __init__(self, points):
@@ -71,7 +72,14 @@ class DelaunayTriangulation:
         round r's insertions as a parallel batch — work sums, depth is
         the round's maximum (see DESIGN.md §1).
         """
+        # a repeated point lands on a vertex, where insertion would build
+        # zero-area triangles: only the first copy of each distinct point
+        # is inserted, so later copies appear in no triangle (as in qhull)
+        _, first = np.unique(self.pts[: self.n], axis=0, return_index=True)
+        keep = np.zeros(self.n, dtype=bool)
+        keep[first] = True
         order = morton_argsort(self.pts[: self.n])
+        order = order[keep[order]]
         i = 0
         round_size = 16
         while i < len(order):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.distance import cross_dists_sq
+from ..core.distance import box_dist_sq, cross_dists_sq
 from ..kdtree.tree import KDTree
 from ..parlay.workdepth import charge
 
@@ -18,12 +18,6 @@ __all__ = ["bccp_nodes", "bccp_points"]
 
 _BRUTE_LIMIT = 2048
 
-
-def _box_dist_sq(tree_a: KDTree, a: int, tree_b: KDTree, b: int) -> float:
-    gap = np.maximum(tree_a.box_lo[a] - tree_b.box_hi[b], 0.0) + np.maximum(
-        tree_b.box_lo[b] - tree_a.box_hi[a], 0.0
-    )
-    return float(gap @ gap)
 
 
 def bccp_nodes(
@@ -41,7 +35,8 @@ def bccp_nodes(
     if best is None:
         best = (np.inf, -1, -1)
     charge(1, 1)
-    if _box_dist_sq(tree_a, a, tree_b, b) >= best[0]:
+    la, ha, lb, hb = tree_a.box_lo, tree_a.box_hi, tree_b.box_lo, tree_b.box_hi
+    if box_dist_sq(la[a], ha[a], lb[b], hb[b]) >= best[0]:
         return best
     na = int(tree_a.end[a] - tree_a.start[a])
     nb = int(tree_b.end[b] - tree_b.start[b])
@@ -61,13 +56,13 @@ def bccp_nodes(
     if (na >= nb and not tree_a.is_leaf[a]) or tree_b.is_leaf[b]:
         kids = [int(tree_a.left[a]), int(tree_a.right[a])]
         kids = [k for k in kids if k >= 0]
-        kids.sort(key=lambda k: _box_dist_sq(tree_a, k, tree_b, b))
+        kids.sort(key=lambda k: box_dist_sq(la[k], ha[k], lb[b], hb[b]))
         for k in kids:
             best = bccp_nodes(tree_a, k, tree_b, b, best)
     else:
         kids = [int(tree_b.left[b]), int(tree_b.right[b])]
         kids = [k for k in kids if k >= 0]
-        kids.sort(key=lambda k: _box_dist_sq(tree_a, a, tree_b, k))
+        kids.sort(key=lambda k: box_dist_sq(la[a], ha[a], lb[k], hb[k]))
         for k in kids:
             best = bccp_nodes(tree_a, a, tree_b, k, best)
     return best

@@ -16,6 +16,7 @@ import heapq
 
 import numpy as np
 
+from ..core.distance import box_dist_sq
 from ..core.points import as_array
 from ..kdtree.tree import KDTree
 from ..parlay.workdepth import charge, parallel_merge, tracker
@@ -34,16 +35,12 @@ def emst_from_tree(tree: KDTree, s: float = 2.0) -> tuple[np.ndarray, np.ndarray
     pairs = wspd(tree, s=s)
     charge(len(pairs))
 
-    def lb(p) -> float:
-        gap = np.maximum(tree.box_lo[p.a] - tree.box_hi[p.b], 0.0) + np.maximum(
-            tree.box_lo[p.b] - tree.box_hi[p.a], 0.0
-        )
-        return float(gap @ gap)
-
     # heap entries: (key, counter, resolved, payload)
+    lo, hi = tree.box_lo, tree.box_hi
     heap: list = []
     for c, p in enumerate(pairs):
-        heapq.heappush(heap, (lb(p), c, False, p))
+        lb = box_dist_sq(lo[p.a], hi[p.a], lo[p.b], hi[p.b])
+        heapq.heappush(heap, (lb, c, False, p))
     counter = len(pairs)
 
     uf = UnionFind(n)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.distance import dist_sq
 from ..obs.rtrace import PHASES, percentile
 from ..serve.errors import Overloaded, RequestTimeout, ServiceClosed
 from ..serve.trace import open_loop_arrivals
@@ -361,7 +362,7 @@ def verify_degraded(index, samples) -> int:
         live = gid >= 0
         rows = by_gid[gid[live]]
         assert np.all(rows >= 0), f"degraded answer cites dead gid for q={q!r}"
-        got = np.linalg.norm(pts[rows] - q[None, :], axis=1) ** 2
+        got = dist_sq(pts[rows], q)
         assert np.allclose(d2[live], got, rtol=1e-9, atol=1e-9), (
             f"degraded distances are not true distances for q={q!r}"
         )

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import sq_norm
 from ..parlay.priority_write import NO_RESERVATION
 from ..parlay.workdepth import charge
 from .incremental2d import HullStats
@@ -280,7 +281,7 @@ def build_initial_tetrahedron(pts: np.ndarray) -> FacetHull3D:
     ab = b - a
     rel = pts - a
     crossn = np.cross(rel, ab)
-    line_d = np.einsum("ij,ij->i", crossn, crossn)
+    line_d = sq_norm(crossn)
     i2 = int(np.argmax(line_d))
     if line_d[i2] <= 0:
         raise ValueError("degenerate input: all points collinear")

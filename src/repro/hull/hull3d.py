@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import sq_norm
 from ..core.points import as_array
 from ..parlay.priority_write import NO_RESERVATION
 from ..parlay.random import random_permutation
@@ -238,7 +239,7 @@ def pseudohull_prune(points, threshold: int = 64) -> np.ndarray:
     rel = pts - pts[i0]
     ab = pts[i1] - pts[i0]
     cr = np.cross(rel, ab)
-    i2 = int(np.argmax(np.einsum("ij,ij->i", cr, cr)))
+    i2 = int(np.argmax(sq_norm(cr)))
     nrm = np.cross(ab, pts[i2] - pts[i0])
     i3 = int(np.argmax(np.abs(rel @ nrm)))
     corners = {i0, i1, i2, i3}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.distance import cross_dists_sq
+from ..core.distance import box_dist_sq, cross_dists_sq
 from ..core.points import as_array
 from ..parlay.workdepth import charge
 from . import batch
@@ -51,15 +51,11 @@ def _dual_tree_allnn(points) -> tuple[np.ndarray, np.ndarray]:
         charge(max(len(ids), 1))
         return float(best_d[ids].max()) if len(ids) else 0.0
 
-    def box_dist(a: int, b: int) -> float:
-        gap = np.maximum(tree.box_lo[a] - tree.box_hi[b], 0.0) + np.maximum(
-            tree.box_lo[b] - tree.box_hi[a], 0.0
-        )
-        return float(gap @ gap)
+    lo, hi = tree.box_lo, tree.box_hi
 
     def dual(q: int, r: int) -> None:
         charge(1, 1)
-        if box_dist(q, r) >= node_bound(q):
+        if box_dist_sq(lo[q], hi[q], lo[r], hi[r]) >= node_bound(q):
             return
         nq = int(tree.end[q] - tree.start[q])
         nr = int(tree.end[r] - tree.start[r])
@@ -88,7 +84,7 @@ def _dual_tree_allnn(points) -> tuple[np.ndarray, np.ndarray]:
         else:
             kids = [int(tree.left[r]), int(tree.right[r])]
             kids = [k for k in kids if k >= 0]
-            kids.sort(key=lambda k: box_dist(q, k))
+            kids.sort(key=lambda k: box_dist_sq(lo[q], hi[q], lo[k], hi[k]))
             for k in kids:
                 dual(q, k)
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import box_dist_sq, dist_sq, far_dist_sq
 from ..core.points import as_array
 from ..obs.span import span
 from ..parlay.primitives import query_blocks
@@ -335,16 +336,12 @@ def _frontier_knn(
                     lo = tree.box_lo[fnode]
                     hi = tree.box_hi[fnode]
                     qq = qs[frow]
-                    gap = np.maximum(lo - qq, 0.0) + np.maximum(qq - hi, 0.0)
-                    dist2 = np.einsum("ij,ij->i", gap, gap)
-                    near = dist2 < buf.bound[qids[frow]]
+                    near = box_dist_sq(lo, hi, qq, qq) < buf.bound[qids[frow]]
                     frow, fnode = frow[near], fnode[near]
                     if len(frow):
                         qq = qq[near]
                         lo, hi = lo[near], hi[near]
-                        far = np.maximum(np.abs(qq - lo), np.abs(qq - hi))
-                        far2 = np.einsum("ij,ij->i", far, far)
-                        whole = far2 < buf.bound[qids[frow]]
+                        whole = far_dist_sq(lo, hi, qq) < buf.bound[qids[frow]]
                         wrow, wnode = frow[whole], fnode[whole]
                         if len(wrow):
                             # box wholly inside the k-NN ball: take all
@@ -399,10 +396,8 @@ def _ingest(
     buf.qwork[qids[r]] += w
     buf.qdepth[qids[r]] += _charge_like(w)
 
-    diff = tree.points[pids] - qs[rows[rowrep]]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    gid = tree.gids[pids]
-    buf.insert_grouped(qids[r], d2, gid, klen[nz])
+    d2 = dist_sq(tree.points[pids], qs[rows[rowrep]])
+    buf.insert_grouped(qids[r], d2, tree.gids[pids], klen[nz])
 
 
 def batched_knn_into(
@@ -573,14 +568,12 @@ def batched_range_query_ball_batch(
                 nlo = tree.box_lo[fn]
                 nhi = tree.box_hi[fn]
                 c = cs[fq]
-                gap = np.maximum(nlo - c, 0.0) + np.maximum(c - nhi, 0.0)
-                keep = np.einsum("ij,ij->i", gap, gap) <= r2[fq]
+                keep = box_dist_sq(nlo, nhi, c, c) <= r2[fq]
                 fq, fn = fq[keep], fn[keep]
                 nlo, nhi, c = nlo[keep], nhi[keep], c[keep]
                 if not len(fq):
                     break
-                far = np.maximum(np.abs(c - nlo), np.abs(c - nhi))
-                contained = np.einsum("ij,ij->i", far, far) <= r2[fq]
+                contained = far_dist_sq(nlo, nhi, c) <= r2[fq]
                 crow, cnode = fq[contained], fn[contained]
                 if len(crow):
                     _emit_whole(tree, crow, cnode, hq, hp)
@@ -774,8 +767,6 @@ def _emit_leaf_ball(tree, cs, r2, rows, nodes, hq, hp, qwork, qdepth) -> None:
     w = klen[nz] * tree.dim
     np.add.at(qwork, rows[nz], w)
     np.add.at(qdepth, rows[nz], _charge_like(w))
-    diff = tree.points[pids] - cs[rowrep]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    inside = d2 <= r2[rowrep]
+    inside = dist_sq(tree.points[pids], cs[rowrep]) <= r2[rowrep]
     hq.append(rowrep[inside])
     hp.append(pos[inside])

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import box_dist_sq, dist_sq, far_dist_sq
 from ..core.points import as_array
 from ..obs.span import span
 from ..parlay.scheduler import get_scheduler
@@ -53,11 +54,8 @@ def _ingest_subtree(tree: KDTree, idx: int, q: np.ndarray, buf: KNNBuffer) -> No
     ids = tree.node_points(idx)
     if len(ids) == 0:
         return
-    pts = tree.points[ids]
-    diff = pts - q
     charge(len(ids) * tree.dim)
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    buf.insert_batch(d2, tree.gids[ids])
+    buf.insert_batch(dist_sq(tree.points[ids], q), tree.gids[ids])
 
 
 def _search(tree: KDTree, idx: int, q: np.ndarray, buf: KNNBuffer) -> None:
@@ -83,14 +81,9 @@ def _search(tree: KDTree, idx: int, q: np.ndarray, buf: KNNBuffer) -> None:
         _search(tree, second, q, buf)
         return
     lo, hi = tree.box_lo[second], tree.box_hi[second]
-    gap = np.maximum(lo - q, 0.0) + np.maximum(q - hi, 0.0)
-    # einsum, not dot: the batched engine reduces rows with einsum, and
-    # the two must round identically so tie-breaking pruning agrees
-    dist2 = float(np.einsum("i,i->", gap, gap))
-    if dist2 >= buf.bound:
+    if box_dist_sq(lo, hi, q, q) >= buf.bound:
         return  # disjoint from the k-NN ball: prune
-    far = np.maximum(np.abs(q - lo), np.abs(q - hi))
-    if float(np.einsum("i,i->", far, far)) < buf.bound:
+    if far_dist_sq(lo, hi, q) < buf.bound:
         _ingest_subtree(tree, second, q, buf)  # wholly inside: take all
     else:
         _search(tree, second, q, buf)
@@ -135,8 +128,7 @@ def _knn_walk(trees, qs: np.ndarray, k: int, exclude_self: bool = False,
         pts, gids = scan
         charge(m * len(pts))
         for i in range(m):
-            diff = pts - qs[i]
-            buffers[i].insert_batch(np.einsum("ij,ij->i", diff, diff), gids)
+            buffers[i].insert_batch(dist_sq(pts, qs[i]), gids)
     return extract_knn_results(buffers, k, exclude_self)
 
 
@@ -163,8 +155,7 @@ def _knn_frontier(trees, qs: np.ndarray, k: int, exclude_self: bool = False,
         step = max(1, (1 << 22) // nb)
         for lo in range(0, m, step):
             hi = min(lo + step, m)
-            diff = pts[None, :, :] - qs[lo:hi, None, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff).ravel()
+            d2 = dist_sq(pts[None, :, :], qs[lo:hi, None, :]).ravel()
             buf.insert_grouped(rows[lo:hi], d2, np.tile(gids, hi - lo), lens[lo:hi])
         # the walk charges each query's scan insert serially
         buf.flush_serial()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import box_dist_sq, dist_sq, far_dist_sq
 from ..parlay.primitives import query_blocks
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge
@@ -76,22 +77,16 @@ def _collect_ball(tree: KDTree, idx: int, c: np.ndarray, r2: float, out: list) -
         return
     charge(2 * tree.dim + 4, 1)  # per-node box arithmetic
     nlo, nhi = tree.box_lo[idx], tree.box_hi[idx]
-    gap = np.maximum(nlo - c, 0.0) + np.maximum(c - nhi, 0.0)
-    # einsum matches the batched engine's row reduction bit-for-bit
-    if float(np.einsum("i,i->", gap, gap)) > r2:
+    if box_dist_sq(nlo, nhi, c, c) > r2:
         return  # disjoint
-    far = np.maximum(np.abs(c - nlo), np.abs(c - nhi))
-    if float(np.einsum("i,i->", far, far)) <= r2:
+    if far_dist_sq(nlo, nhi, c) <= r2:
         out.append(tree.node_points(idx))  # contained
         return
     if tree.is_leaf[idx]:
         ids = tree.node_points(idx)
         if len(ids):
-            pts = tree.points[ids]
             charge(len(ids) * tree.dim)
-            diff = pts - c
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            out.append(ids[d2 <= r2])
+            out.append(ids[dist_sq(tree.points[ids], c) <= r2])
         return
     _collect_ball(tree, int(tree.left[idx]), c, r2, out)
     _collect_ball(tree, int(tree.right[idx]), c, r2, out)
@@ -100,8 +95,9 @@ def _collect_ball(tree: KDTree, idx: int, c: np.ndarray, r2: float, out: list) -
 def range_query_ball(tree: KDTree, center, radius: float) -> np.ndarray:
     """Ids of live points within Euclidean distance ``radius`` of center."""
     c = np.asarray(center, dtype=np.float64)
+    r = float(radius)
     out: list = []
-    _collect_ball(tree, tree.root, c, float(radius) ** 2, out)
+    _collect_ball(tree, tree.root, c, r * r, out)
     if not out:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(out)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import dist, dist_sq, sq_norm
 from ..parlay.workdepth import charge
 
 __all__ = ["Ball", "circumball", "ball_of_support"]
@@ -45,23 +46,20 @@ class Ball:
         return len(self.center)
 
     def contains(self, p: np.ndarray, tol: float = EPS) -> bool:
-        d = p - self.center
-        return float(np.sqrt(d @ d)) <= self.radius * (1.0 + tol) + 1e-300
+        return bool(dist(p, self.center) <= self.radius * (1.0 + tol) + 1e-300)
 
     def contains_all(self, pts: np.ndarray, tol: float = EPS) -> bool:
         if len(pts) == 0:
             return True
         charge(len(pts))
-        diff = pts - self.center
-        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2 = dist_sq(pts, self.center)
         lim = (self.radius * (1.0 + tol)) ** 2
         return bool(np.all(d2 <= lim + 1e-300))
 
     def outside_mask(self, pts: np.ndarray, tol: float = EPS) -> np.ndarray:
         """Boolean mask of points strictly outside (the 'visible' points)."""
         charge(max(len(pts), 1))
-        diff = pts - self.center
-        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2 = dist_sq(pts, self.center)
         lim = (self.radius * (1.0 + tol)) ** 2
         return d2 > lim
 
@@ -85,10 +83,10 @@ def circumball(points: np.ndarray) -> Ball:
         return Ball(pts[0], 0.0, pts)
     p0 = pts[0]
     q = pts[1:] - p0
-    rhs = 0.5 * np.einsum("ij,ij->i", q, q)
+    rhs = 0.5 * sq_norm(q)
     sol, *_ = np.linalg.lstsq(q, rhs, rcond=None)
     center = p0 + sol
-    radius = float(np.sqrt(sol @ sol))
+    radius = float(np.sqrt(sq_norm(sol)))
     return Ball(center, radius, pts)
 
 
@@ -121,8 +119,7 @@ def ball_of_support(points: np.ndarray, seed: int = 0) -> Ball:
     b = _welzl_small(pts, [], d, rng)
     # tighten support to boundary points
     if len(b.support):
-        diff = b.support - b.center
-        on = np.abs(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - b.radius) <= (
+        on = np.abs(dist(b.support, b.center) - b.radius) <= (
             EPS * max(b.radius, 1.0)
         )
         b.support = b.support[on] if on.any() else b.support

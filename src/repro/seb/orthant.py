@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import dist_sq, sq_norm
 from ..core.points import as_array
 from ..parlay.primitives import query_blocks
 from ..parlay.scheduler import get_scheduler
@@ -46,7 +47,7 @@ def orthant_scan_once(pts: np.ndarray, ball: Ball) -> tuple[bool, np.ndarray]:
         seg = pts[lo:hi]
         charge(max(hi - lo, 1))
         diff = seg - ball.center
-        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2 = sq_norm(diff)
         lim = (ball.radius * (1.0 + EPS)) ** 2
         out = d2 > lim + 1e-300
         if not out.any():
@@ -103,9 +104,7 @@ def orthant_scan_seb(points, max_iter: int = 1000, seed: int = 0) -> Ball:
         ball = ball_of_support(support, seed=seed)
         if ball.radius <= prev_radius * (1.0 + 1e-15):
             # radius stalled: nudge with the single furthest point
-            diff = pts - ball.center
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            j = int(np.argmax(d2))
+            j = int(np.argmax(dist_sq(pts, ball.center)))
             support = np.vstack([ball.support, pts[None, j]])
             ball = ball_of_support(support, seed=seed)
         prev_radius = ball.radius

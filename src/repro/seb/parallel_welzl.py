@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import dist_sq
 from ..core.points import as_array
 from ..parlay.random import random_permutation
 from ..parlay.workdepth import charge
@@ -35,8 +36,7 @@ def _first_violator(pts: np.ndarray, prefix: np.ndarray, ball: Ball) -> int:
     """
     m = len(prefix)
     charge(max(m, 1))
-    diff = pts[prefix] - ball.center
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = dist_sq(pts[prefix], ball.center)
     lim = (ball.radius * (1.0 + EPS)) ** 2
     out = d2 > lim + 1e-300
     if not out.any():

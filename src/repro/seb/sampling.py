@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.distance import dist_sq
 from ..core.points import as_array
 from ..obs.span import span
 from ..parlay.random import random_permutation
@@ -87,9 +88,7 @@ def sampling_seb(
             ball = ball_of_support(support, seed=seed)
             if ball.radius <= prev_radius * (1.0 + 1e-15):
                 charge(n)
-                diff = pts - ball.center
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                j = int(np.argmax(d2))
+                j = int(np.argmax(dist_sq(pts, ball.center)))
                 ball = ball_of_support(np.vstack([ball.support, pts[None, j]]), seed=seed)
             prev_radius = ball.radius
     from .welzl import welzl_mtf_pivot

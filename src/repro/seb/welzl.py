@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import dist, dist_sq
 from ..core.points import as_array
 from ..parlay.workdepth import charge
 from .ball import EPS, Ball, circumball
@@ -47,9 +48,7 @@ def _mtf_mb(order: list[int], end: int, support: list[int], pts: np.ndarray, mtf
             j = i
         else:
             tail = np.asarray(order[i:end], dtype=np.int64)
-            diff = pts[tail] - b.center
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            out = dist > b.radius * (1.0 + EPS) + 1e-300
+            out = dist(pts[tail], b.center) > b.radius * (1.0 + EPS) + 1e-300
             if not out.any():
                 charge(end - i, end - i)
                 return b
@@ -103,8 +102,7 @@ def welzl_mtf_pivot(points, seed: int = 0, max_iter: int = 10_000) -> Ball:
     active = list(rng.permutation(n)[: min(n, pts.shape[1] + 1)])
     b = _mtf_mb(active, len(active), [], pts, mtf=True)
     for _ in range(max_iter):
-        diff = pts - b.center
-        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2 = dist_sq(pts, b.center)
         charge(n)
         j = int(np.argmax(d2))  # pivot: furthest point overall
         lim = (b.radius * (1.0 + EPS)) ** 2

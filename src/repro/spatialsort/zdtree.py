@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import box_dist_sq, dist_sq
 from ..core.points import as_array
 from ..kdtree.knnbuffer import KNNBuffer
 from ..parlay.scheduler import get_scheduler
@@ -119,9 +120,7 @@ class ZdTree:
         if hi - lo <= _LEAF or level < 0:
             seg = self.pts[lo:hi]
             charge(max(hi - lo, 1) * self.dim)
-            diff = seg - q
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            buf.insert_batch(d2, self.gids[lo:hi])
+            buf.insert_batch(dist_sq(seg, q), self.gids[lo:hi])
             return
         dim_j = level % self.dim
         boundary = np.uint64(prefix | (1 << level))
@@ -143,8 +142,8 @@ class ZdTree:
         for (clo, chi, cpfx, cl, ch) in children:
             if chi <= clo:
                 continue
-            gap = np.maximum(cl - margin - q, 0.0) + np.maximum(q - ch - margin, 0.0)
-            if buf.full() and float(gap @ gap) >= buf.bound:
+            gap2 = box_dist_sq(cl - margin, ch + margin, q, q)
+            if buf.full() and gap2 >= buf.bound:
                 continue
             self._knn_rec(clo, chi, level - 1, cpfx, cl, ch, q, buf)
 

@@ -23,7 +23,7 @@ from-scratch ``compute`` reference at every version.  The
 serving layer exposes registered views as the ``view`` request kind.
 """
 
-from .base import Grid, MaterializedView, Mirror, pairs_d2
+from .base import Grid, MaterializedView, Mirror
 from .closest_pair import ClosestPairView
 from .dbscan import DBSCANView
 from .hull2d import HullView
@@ -37,5 +37,4 @@ __all__ = [
     "MaterializedView",
     "Mirror",
     "ViewManager",
-    "pairs_d2",
 ]

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.distance import dist_sq
 from ..parlay.workdepth import charge
 
-__all__ = ["Grid", "MaterializedView", "Mirror", "pairs_d2"]
+__all__ = ["Grid", "MaterializedView", "Mirror"]
 
 #: centers per candidate-expansion chunk in :meth:`Grid.balls`: a dense
 #: neighbourhood holds a few hundred candidates per center, so expanding
@@ -42,25 +43,6 @@ _BALL_CHUNK = 128
 #: width margin; a row beyond it (or with a non-finite quotient) is
 #: scanned, not bucketed
 _FAR = 1e12
-
-
-def pairs_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise squared distances, one canonical evaluation everywhere.
-
-    Every distance that can reach a view answer — incremental repair,
-    recompute fallback, and the from-scratch reference — goes through
-    this one expression, so equal point pairs always produce the same
-    float64 bit pattern regardless of which path computed them.  The
-    squares are summed coordinate by coordinate, left to right (the
-    order ``(d * d).sum(axis=1)`` takes, at a fraction of its cost on
-    two or three columns).
-    """
-    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    d *= d
-    out = d[:, 0].copy()
-    for j in range(1, d.shape[1]):
-        out += d[:, j]
-    return out
 
 
 def _unique_rows(a: np.ndarray):
@@ -90,7 +72,8 @@ class Grid:
     instead: their cell is not trusted, so while any is held — and when
     3^d cell lookups would rival scanning every row — :meth:`balls`
     scans every held row.  Either way membership is decided by the one
-    exact ``pairs_d2(row, center) <= r2`` predicate, so the answer is
+    exact ``dist_sq(row, center) <= r2`` predicate
+    (:mod:`repro.core.distance`), so the answer is
     bitwise the brute scan's.
     """
 
@@ -203,8 +186,8 @@ class Grid:
             cand = pool[_ragged_arange(ss, slot_start[lo:hi].ravel())]
             cid = np.repeat(np.arange(lo, hi), k).repeat(ss)
             work += len(cand)
-            keep = pairs_d2(np.take(pts, cand, axis=0),
-                            np.take(centers, cid, axis=0)) <= r2
+            keep = dist_sq(np.take(pts, cand, axis=0),
+                           np.take(centers, cid, axis=0)) <= r2
             # (center, row) keys are distinct: one plain sort orders
             # the hits by center, then by row
             key = np.sort(cid[keep] * n + cand[keep])
@@ -217,7 +200,7 @@ class Grid:
         held = self.rows()
         charge(len(centers) * len(held))
         p = pts[held]
-        out = [held[pairs_d2(p, c.reshape(1, -1)) <= r2] for c in centers]
+        out = [held[dist_sq(p, c) <= r2] for c in centers]
         return self._flat(out, np.array([len(o) for o in out], dtype=np.int64))
 
     @staticmethod

@@ -17,7 +17,7 @@ re-tightens the grid.
 
 The answer is canonical: the lexicographically smallest ``(d2, gi,
 gj)`` (``gi < gj`` by global id) over all live pairs, with every
-distance evaluated by :func:`~repro.views.base.pairs_d2` — so the
+distance evaluated by :func:`~repro.core.distance.dist_sq` — so the
 incremental path, the fallback, and the from-scratch reference
 :meth:`ClosestPairView.compute` agree bitwise, ties included.
 """
@@ -27,8 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..closestpair.divide_conquer import _rec
+from ..core.distance import dist_sq
 from ..parlay.workdepth import charge
-from .base import Grid, MaterializedView, Mirror, pairs_d2
+from .base import Grid, MaterializedView, Mirror
 
 __all__ = ["ClosestPairView"]
 
@@ -88,11 +89,11 @@ class ClosestPairView(MaterializedView):
     def _canonical(cls, pts: np.ndarray, gids: np.ndarray, rows: np.ndarray):
         """(answer, grid over ``rows``) from scratch.
 
-        Uses the repo's divide-and-conquer closest pair for an upper
-        bound ``r2``, then canonicalizes: one batched ball query on a
-        grid of width ``sqrt(cutoff)`` collects every pair within the
-        slightly-inflated bound, and the answer is their lexicographic
-        minimum under :func:`pairs_d2`.
+        Uses the repo's divide-and-conquer closest pair for ``r2``, the
+        :func:`dist_sq` of an actual live pair, so the canonical minimum
+        is at most ``r2``; then canonicalizes: one batched ball query
+        on a grid of width just above ``sqrt(r2)`` collects every pair
+        within ``r2``, and the answer is their lexicographic minimum.
         """
         n = len(rows)
         answer, w = None, 1.0
@@ -102,16 +103,11 @@ class ClosestPairView(MaterializedView):
             if r2 == 0.0:
                 answer = _duplicate_answer(sub, gids[rows])
             else:
-                # inflate by an ulp + relative slack: _rec's internal
-                # distance expression may differ from pairs_d2 by a
-                # rounding step, and the canonical minimum must never be
-                # excluded by the bound
-                cutoff = max(np.nextafter(r2, np.inf), r2 * (1.0 + 1e-12))
-                w = float(np.nextafter(np.sqrt(cutoff), np.inf))
+                w = float(np.nextafter(np.sqrt(r2), np.inf))
         grid = Grid(w, pts.shape[1])
         grid.insert(pts, rows)
         if answer is None and n >= 2:
-            answer = cls._best_within(pts, gids, grid, rows, cutoff)
+            answer = cls._best_within(pts, gids, grid, rows, r2)
         return answer, grid
 
     @classmethod
@@ -128,7 +124,7 @@ class ClosestPairView(MaterializedView):
         if len(rows_a) == 0:
             return None
         charge(len(rows_a))
-        d2 = pairs_d2(pts[rows_a], pts[rows_b])
+        d2 = dist_sq(pts[rows_a], pts[rows_b])
         keep = d2 <= cutoff
         if not keep.any():
             return None

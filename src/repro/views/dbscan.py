@@ -35,9 +35,10 @@ numbering ``dbscan()`` produces on the gid-sorted live set, so the view
 answer is identical to the from-scratch reference
 :meth:`DBSCANView.compute`.
 
-Ball membership is ``pairs_d2 <= eps**2``; in 2D that is bitwise the
-einsum the kd-tree range search evaluates, so grid repair queries and
-the tree queries the reference runs agree point-for-point.
+Ball membership is ``dist_sq <= eps * eps``, the kernel of
+:mod:`repro.core.distance` that the kd-tree range search evaluates too,
+so grid repair queries and the tree queries the reference runs agree
+point-for-point in every dimension.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class DBSCANView(MaterializedView):
         super().__init__(name)
         self.eps = float(eps)
         self.min_pts = int(min_pts)
-        self._eps2 = float(eps) ** 2
+        self._eps2 = self.eps * self.eps
         # per mirror row (grown lazily alongside the mirror):
         self._ncount = np.zeros(0, dtype=np.int64)
         self._core = np.zeros(0, dtype=bool)

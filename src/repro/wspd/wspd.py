@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ..core.distance import box_dist_sq, sq_norm
 from ..kdtree.tree import KDTree
 from ..parlay.scheduler import get_scheduler
 from ..parlay.workdepth import charge, parallel_merge, tracker
@@ -29,22 +28,15 @@ class WSPair:
 
 
 def _radius_sq(tree: KDTree, n: int) -> float:
-    d = tree.box_hi[n] - tree.box_lo[n]
-    return float(d @ d) / 4.0
-
-
-def _box_dist_sq(tree: KDTree, a: int, b: int) -> float:
-    gap = np.maximum(tree.box_lo[a] - tree.box_hi[b], 0.0) + np.maximum(
-        tree.box_lo[b] - tree.box_hi[a], 0.0
-    )
-    return float(gap @ gap)
+    return sq_norm(tree.box_hi[n] - tree.box_lo[n]) / 4.0
 
 
 def well_separated(tree: KDTree, a: int, b: int, s: float) -> bool:
     """Callahan–Kosaraju separation test on bounding boxes."""
     charge(1, 1)
     r2 = max(_radius_sq(tree, a), _radius_sq(tree, b))
-    return _box_dist_sq(tree, a, b) >= s * s * r2
+    lo, hi = tree.box_lo, tree.box_hi
+    return box_dist_sq(lo[a], hi[a], lo[b], hi[b]) >= s * s * r2
 
 
 def wspd(tree: KDTree, s: float = 2.0) -> list[WSPair]:

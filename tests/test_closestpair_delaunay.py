@@ -104,3 +104,16 @@ class TestDelaunay:
         pts = visual_var(600, 2, seed=9).coords
         dt = delaunay(pts)
         assert dt.check_delaunay(sample=60)
+
+    def test_repeated_points_match_scipy_on_distinct(self, rng):
+        # 600 draws from 150 sites: most points repeat, several times
+        sites = rng.uniform(0, 10, size=(150, 2))
+        pts = sites[rng.integers(0, 150, size=600)]
+        _, first = np.unique(pts, axis=0, return_index=True)
+        ours = delaunay(pts).triangles()
+        # copies appear in no triangle; every distinct point does
+        assert set(ours.ravel().tolist()) == set(first.tolist())
+        ref = first[SciDelaunay(pts[first]).simplices]
+        assert {frozenset(t) for t in ours.tolist()} == {
+            frozenset(t) for t in ref.tolist()}
+        assert len(ours) == len(ref)

@@ -15,7 +15,6 @@ from repro.cluster import (
     HilbertPartitioner,
     Shard,
     ShardedIndex,
-    bbox_mindist2,
     merge_knn,
     plan_ball,
     plan_box,
@@ -124,14 +123,17 @@ class TestShard:
 # router geometry + merge
 # ----------------------------------------------------------------------
 class TestRouter:
-    def test_bbox_mindist2(self):
+    def test_plan_ball_distances_and_sentinel_box(self):
         lo = np.array([[0.0, 0.0], [np.inf, np.inf]])
         hi = np.array([[1.0, 1.0], [-np.inf, -np.inf]])
         q = np.array([[0.5, 0.5], [2.0, 0.0]])
-        d2 = bbox_mindist2(lo, hi, q)
-        assert d2[0, 0] == 0.0  # inside
-        assert d2[1, 0] == 1.0  # 1 away on x
-        assert np.all(np.isinf(d2[:, 1]))  # sentinel box
+        # inside: planned at r2 = 0; 1 away on x: planned at r2 = 1 but
+        # not 0.99; the (+inf, -inf) sentinel box: never, for finite r2
+        assert plan_ball(lo, hi, q, np.array([0.0, 1.0])).tolist() == [
+            [True, False], [True, False]]
+        assert plan_ball(lo, hi, q, np.array([0.0, 0.99])).tolist() == [
+            [True, False], [False, False]]
+        assert not plan_ball(lo, hi, q, np.array([1e300, 1e300]))[:, 1].any()
 
     def test_plan_box_and_ball(self):
         lo = np.array([[0.0, 0.0], [5.0, 5.0]])

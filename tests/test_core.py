@@ -9,12 +9,22 @@ from repro.core import (
     as_array,
     as_points,
     bbox_of,
+    box_dist_sq,
     cross_dists_sq,
     dist,
     dist_sq,
-    dists_sq_to_point,
+    far_dist_sq,
     pairwise_dists_sq,
+    sq_norm,
 )
+
+
+def _left_to_right(v):
+    """Reference: squares summed one Python float at a time."""
+    s = 0.0
+    for x in v:
+        s = s + float(x) * float(x)
+    return s
 
 
 class TestPointSet:
@@ -112,9 +122,36 @@ class TestDistances:
     def test_dists_to_point(self, rng):
         pts = rng.normal(size=(100, 4))
         q = rng.normal(size=4)
-        out = dists_sq_to_point(pts, q)
-        ref = ((pts - q) ** 2).sum(axis=1)
-        assert np.allclose(out, ref)
+        out = dist_sq(pts, q)
+        ref = [_left_to_right(p - q) for p in pts]
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+    def test_sq_norm_sums_left_to_right_in_every_shape(self, rng, d):
+        # the walk calls the 1-D form, the frontier the row form, the
+        # BDL buffer scan the (m, s, d) form: all must give equal bits
+        v = rng.normal(size=(6, 50, d))
+        ref = np.array([[_left_to_right(r) for r in m] for m in v])
+        assert np.array_equal(sq_norm(v), ref)
+        assert np.array_equal(sq_norm(v[0]), ref[0])
+        assert [sq_norm(r) for r in v[0]] == ref[0].tolist()
+        assert isinstance(sq_norm(v[0, 0]), float)
+        a, b = v[0], v[1, 0]
+        assert np.array_equal(dist_sq(a, b), [sq_norm(r - b) for r in a])
+        assert np.array_equal(dist_sq(v[:, None, 0], v[None, 1]),
+                              sq_norm(v[:, None, 0] - v[None, 1]))
+
+    def test_box_and_far_corner_kernels(self):
+        lo, hi = np.array([0.0, 0.0]), np.array([1.0, 2.0])
+        # box to box: 1 apart on x, overlapping on y
+        assert box_dist_sq(lo, hi, np.array([2.0, 1.0]), np.array([3.0, 5.0])) == 1.0
+        assert box_dist_sq(lo, hi, lo + 0.5, hi) == 0.0
+        # a point is the box [p, p]; rows broadcast
+        p = np.array([[3.0, 2.0], [0.5, -1.0]])
+        assert box_dist_sq(lo, hi, p, p).tolist() == [4.0, 1.0]
+        assert far_dist_sq(lo, hi, p).tolist() == [9.0 + 4.0, 0.25 + 9.0]
+        empty = np.array([np.inf, np.inf]), np.array([-np.inf, -np.inf])
+        assert box_dist_sq(*empty, p[0], p[0]) == np.inf
 
     def test_pairwise_nonnegative_and_symmetric(self, rng):
         pts = rng.normal(size=(40, 3))

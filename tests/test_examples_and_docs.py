@@ -5,6 +5,7 @@ end-to-end (scaled down via monkeypatched generators where needed), and
 the README quickstart snippet must be valid code.
 """
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -220,3 +221,41 @@ class TestNoPathKnobs:
             if a.__class__.__name__ == "_SubParsersAction"
         )
         assert "engine" not in sub.choices["knn"].format_help()
+
+
+class TestOneDistanceKernel:
+    """The order in which squares are summed is decided once, in
+    ``repro.core.distance``: a squared norm written out anywhere else in
+    ``src/repro`` could round differently and break a bitwise contract
+    (walk vs frontier, view vs recompute)."""
+
+    HOME = REPO / "src" / "repro" / "core" / "distance.py"
+    IDIOMS = (
+        # np.einsum("ij,ij->i", x, x)
+        re.compile(r"einsum\(\s*(['\"])[^'\"]*\1\s*,\s*([\w.\[\]]+)\s*,\s*\2\s*\)"),
+        # x @ x (but not x @ x.T or x @ y)
+        re.compile(r"(?<![\w.\]])([A-Za-z_][\w.]*)\s*@\s*\1(?![\w.\[(])"),
+        # (x * x).sum(...)
+        re.compile(r"\(\s*([A-Za-z_][\w.]*)\s*\*\s*\1\s*\)\s*\.sum\("),
+        # (...) ** 2).sum(...)
+        re.compile(r"\*\*\s*2\s*\)\s*\.sum\("),
+    )
+
+    def test_idioms_are_caught(self):
+        for line in ('np.einsum("ij,ij->i", diff, diff)', "float(d @ d)",
+                     "(d * d).sum(axis=1)", "((a - b) ** 2).sum(axis=1)"):
+            assert any(p.search(line) for p in self.IDIOMS), line
+        for line in ('np.einsum("ij,ij->i", a, np.cross(b, c))',
+                     "pts @ pts.T", "rel @ nrm", "bits @ (1 << k)"):
+            assert not any(p.search(line) for p in self.IDIOMS), line
+
+    def test_no_squared_norm_outside_the_kernel_module(self):
+        hits = [
+            f"{path.relative_to(REPO)}:{no}: {line.strip()}"
+            for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+            if path != self.HOME
+            for no, line in enumerate(path.read_text().splitlines(), 1)
+            if any(p.search(line) for p in self.IDIOMS)
+        ]
+        assert not hits, (
+            "squared norms outside repro.core.distance:\n" + "\n".join(hits))

@@ -568,10 +568,22 @@ def _bounds(rng, m):
     return np.where(rng.random(m) < 0.5, np.inf, rng.uniform(0.05, 2.0, m))
 
 
+#: cube side per dimension, so unit-radius queries keep hitting points
+_SIDE = {2: 10.0, 3: 5.0, 5: 2.5}
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestCrossover:
-    def test_kdtree(self, backend, rng):
-        pts = rng.uniform(0, 10, size=(600, 2))
+    # in 3D and up a squared distance summed in another order differs
+    # in the last bit, so pruning and ball membership would diverge
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_kdtree_and_bdl_in_higher_dims(self, backend, rng, dim):
+        self.test_kdtree(backend, rng, dim)
+        self.test_bdl(backend, rng, dim)
+
+    def test_kdtree(self, backend, rng, dim=2):
+        side = _SIDE[dim]
+        pts = rng.uniform(0, side, size=(600, dim))
         t = KDTree(pts)
         with use_backend(backend, 2):
             for m in KNN_SIZES:
@@ -591,7 +603,7 @@ class TestCrossover:
                         lambda: frontier_knn(t, qs, 4, ex, bound),
                     )
             for m in RANGE_SIZES:
-                c = rng.uniform(0, 10, size=(m, 2))
+                c = rng.uniform(0, side, size=(m, dim))
                 r = rng.uniform(0.2, 1.5, size=m)
                 _three_way(
                     f"box m={m}",
@@ -606,13 +618,14 @@ class TestCrossover:
                     lambda: frontier_ball(t, c, r),
                 )
 
-    def test_bdl(self, backend, rng):
-        pts = rng.uniform(0, 10, size=(900, 2))
-        b = BDLTree(2, buffer_size=64)
+    def test_bdl(self, backend, rng, dim=2):
+        side = _SIDE[dim]
+        pts = rng.uniform(0, side, size=(900, dim))
+        b = BDLTree(dim, buffer_size=64)
         for i in range(0, 900, 300):
             b.insert(pts[i : i + 300])
         b.erase(pts[::7])
-        b.insert(rng.uniform(0, 10, size=(20, 2)))  # some stay buffered
+        b.insert(rng.uniform(0, side, size=(20, dim)))  # some stay buffered
         assert len(b.buf_pts)
         with use_backend(backend, 2):
             for m in KNN_SIZES:
@@ -627,7 +640,7 @@ class TestCrossover:
                             _on("frontier", b.knn, qs, 4, ex, bound),
                         )
             for m in RANGE_SIZES:
-                c = rng.uniform(0, 10, size=(m, 2))
+                c = rng.uniform(0, side, size=(m, dim))
                 _three_way(
                     f"bdl box m={m}",
                     lambda: b.range_query_box_batch(c - 1, c + 1),

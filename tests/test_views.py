@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.bdl import BDLTree
 from repro.cluster import ShardedIndex
 from repro.core.bbox import BBox
+from repro.core.distance import dist_sq
 from repro.frontend import Frontend
 from repro.kdtree import KDTree
 from repro.obs.rtrace import PHASES
@@ -37,7 +38,6 @@ from repro.views import (
     HullView,
     Mirror,
     ViewManager,
-    pairs_d2,
 )
 from repro.views.base import _BALL_CHUNK
 
@@ -155,6 +155,27 @@ class TestCanonicalEquality:
             for name, want in _expected(idx, mgr).items():
                 assert mgr.get(name)[0] == want
 
+    def test_3d_pair_at_exactly_eps_matches_recompute(self):
+        # two 3D points at squared distance exactly eps * eps under the
+        # left-to-right sum, but an ulp more under einsum's order: the
+        # view's grid and the kd-tree reference must agree on the ball
+        rng = np.random.default_rng(0)
+        while True:
+            d = rng.uniform(-1.0, 1.0, 3)
+            lr = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]
+            eps = float(np.sqrt(lr))
+            if (float(np.einsum("i,i->", d, d)) > lr and eps * eps == lr
+                    and eps ** 2 == lr):
+                break
+        idx = BDLTree(3)
+        mgr = ViewManager(idx)
+        mgr.dbscan(eps=eps, min_pts=2)
+        mgr.insert(np.stack([np.zeros(3), d]))
+        live, gids = idx.gather_points()
+        want = DBSCANView.compute(live, gids, eps=eps, min_pts=2)
+        assert want == ((0, 1), (0, 0))
+        assert mgr.get("dbscan")[0] == want
+
     def test_sharded_index_views_never_stale(self):
         rng = np.random.default_rng(3)
         idx = ShardedIndex(rng.uniform(0.0, 10.0, (60, 2)), 4)
@@ -193,7 +214,7 @@ class TestCanonicalEquality:
 # ---------------------------------------------------------------------------
 def _brute_balls(pts, held, centers, r2):
     held = np.sort(np.asarray(held, dtype=np.int64))
-    parts = [held[pairs_d2(pts[held], c.reshape(1, -1)) <= r2]
+    parts = [held[dist_sq(pts[held], c) <= r2]
              for c in centers]
     offs = np.zeros(len(centers) + 1, dtype=np.int64)
     np.cumsum([len(p) for p in parts], out=offs[1:])
